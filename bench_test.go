@@ -1,5 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (one benchmark per experiment; see DESIGN.md §3 for the index). Each
+// (one benchmark per experiment, indexed below). Each
 // benchmark reports experiment-specific metrics through b.ReportMetric so
 // `go test -bench=. -benchmem` reproduces the headline numbers:
 //

@@ -1,6 +1,6 @@
 // Command flexsp-bench regenerates the paper's tables and figures against
 // the simulated cluster. Each subcommand maps to one experiment of the
-// evaluation (see DESIGN.md §3):
+// evaluation:
 //
 //	flexsp-bench table1        # Table 1: homogeneous SP grid, times + A2A ratio
 //	flexsp-bench fig1          # Fig. 1: motivating example

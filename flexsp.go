@@ -228,11 +228,31 @@ func NewSystem(cfg Config) (*System, error) {
 		cfg.Model = costmodel.GPT7B
 	}
 
-	var topo cluster.Topology
-	var coeffs costmodel.Coeffs
-	var hetero *costmodel.HeteroCoeffs
+	// Calibration overlays fitted coefficients after all profile shaping
+	// (style, head caps) so only the α-β values change; no Calibration path
+	// leaves the analytic numbers byte-for-byte untouched.
+	sys := &System{includeZeRO: cfg.IncludeZeRO, serve: cfg.Serve, cfg: cfg}
+	if cfg.Calibration != "" {
+		c, err := calib.Load(cfg.Calibration)
+		if err != nil {
+			return nil, fmt.Errorf("flexsp: %w", err)
+		}
+		sys.cal = c
+	}
+
 	var pl *planner.Planner
+	var jp *pipeline.Planner
 	var mixedTopo cluster.MixedTopology
+	scalar := func(topo cluster.Topology) {
+		c := costmodel.Profile(cfg.Model, topo).WithStyle(cfg.CommStyle)
+		if cfg.Pipeline.HeadsCap {
+			c = c.WithHeadsCap()
+		}
+		if sys.cal != nil && len(mixedTopo.NodeGroups) > 0 {
+			c, _ = sys.cal.Apply(c, mixedTopo.NodeGroups[0].Class.Name)
+		}
+		pl, jp = planner.New(c), pipeline.NewPlanner(c)
+	}
 	if cfg.Cluster != "" {
 		// Unreachable after Validate; kept defensive without duplicating
 		// Validate's error wording.
@@ -242,20 +262,16 @@ func NewSystem(cfg Config) (*System, error) {
 		}
 		mixedTopo = mixed
 		if uni, ok := mixed.Uniform(); ok {
-			// Single class: the scalar path applies unchanged.
-			topo = uni
-			coeffs = costmodel.Profile(cfg.Model, topo).WithStyle(cfg.CommStyle)
+			// Single class: every range prices alike, so the scalar
+			// planners apply unchanged.
+			scalar(uni)
 		} else {
-			h := costmodel.ProfileMixed(cfg.Model, mixed).WithStyle(cfg.CommStyle)
-			if err := h.Validate(); err != nil {
+			h, err := sys.profileMixed(mixed)
+			if err != nil {
 				return nil, fmt.Errorf("flexsp: profiling %q: %w", cfg.Cluster, err)
 			}
-			if cfg.Pipeline.HeadsCap {
-				h = h.WithHeadsCap()
-			}
-			hetero = &h
-			coeffs = h.Bottleneck()
-			topo = coeffs.Topo
+			sys.Hetero = &h
+			pl, jp = planner.NewHetero(h), pipeline.NewHeteroPlanner(h)
 		}
 	} else {
 		t, err := cluster.NewA100Cluster(cfg.Devices)
@@ -263,82 +279,73 @@ func NewSystem(cfg Config) (*System, error) {
 			// Unreachable after Validate (which owns the wording).
 			return nil, fmt.Errorf("flexsp: %w", err)
 		}
-		topo = t
-		coeffs = costmodel.Profile(cfg.Model, topo).WithStyle(cfg.CommStyle)
 		mixedTopo, _ = cluster.MixedCluster(cluster.ClassCount{Class: cluster.A100_40G, Devices: cfg.Devices})
+		scalar(t)
 	}
-	if cfg.Pipeline.HeadsCap && hetero == nil {
-		coeffs = coeffs.WithHeadsCap()
-	}
-	// Calibration overlays fitted coefficients after all profile shaping
-	// (style, head caps) so only the α-β values change; no Calibration path
-	// leaves the analytic numbers byte-for-byte untouched.
-	var cal *calib.File
-	if cfg.Calibration != "" {
-		c, err := calib.Load(cfg.Calibration)
-		if err != nil {
-			return nil, fmt.Errorf("flexsp: %w", err)
-		}
-		cal = c
-		if hetero != nil {
-			h := *hetero
-			h.Calibrate = cal.Calibrator()
-			hetero = &h
-			coeffs = h.Bottleneck()
-		} else if len(mixedTopo.NodeGroups) > 0 {
-			coeffs, _ = cal.Apply(coeffs, mixedTopo.NodeGroups[0].Class.Name)
-		}
-	}
-	if hetero != nil {
-		pl = planner.NewHetero(*hetero)
-	} else {
-		pl = planner.New(coeffs)
-	}
-	pl.Strategy = cfg.Planner
-	sv := solver.New(pl)
-	if cfg.Trials > 0 {
-		sv.Trials = cfg.Trials
-	}
-	if cfg.IncludeZeRO {
-		// Let the solver account for the exposed per-micro-batch ZeRO cost
-		// when choosing the micro-batch count.
-		sv.Overhead = coeffs.ZeROTime()
-	}
-	var jp *pipeline.Planner
-	if hetero != nil {
-		jp = pipeline.NewHeteroPlanner(*hetero)
-	} else {
-		jp = pipeline.NewPlanner(coeffs)
-	}
-	jp.Strategy = cfg.Planner
-	jp.IncludeZeRO = cfg.IncludeZeRO
-	if cfg.Trials > 0 {
-		jp.Trials = cfg.Trials
-	}
-	if len(cfg.Pipeline.Degrees) > 0 {
-		jp.Degrees = cfg.Pipeline.Degrees
-	}
+	sys.Coeffs = pl.Coeffs
+	sys.Topo = sys.Coeffs.Topo
+	sys.Planner = pl
+	sys.Solver = sys.newSolver(pl)
+	sys.Joint = sys.newJoint(jp)
+	sys.pool = cluster.NewGroupPool(sys.Topo.NumDevices(), cluster.DefaultGroupCreation)
 	// An elastic view of the same fleet backs live-topology planning
 	// (System.Topology, the daemon's /v2/topology). A fleet MixedCluster
 	// cannot model (unreachable for specs Validate accepts) leaves it nil.
-	var elastic *cluster.Elastic
 	if len(mixedTopo.NodeGroups) > 0 {
-		elastic, _ = cluster.NewElastic(mixedTopo)
+		sys.elastic, _ = cluster.NewElastic(mixedTopo)
 	}
-	return &System{
-		Topo:        topo,
-		Coeffs:      coeffs,
-		Planner:     pl,
-		Solver:      sv,
-		Joint:       jp,
-		Hetero:      hetero,
-		includeZeRO: cfg.IncludeZeRO,
-		pool:        cluster.NewGroupPool(topo.NumDevices(), cluster.DefaultGroupCreation),
-		serve:       cfg.Serve,
-		cfg:         cfg,
-		elastic:     elastic,
-		cal:         cal,
-	}, nil
+	return sys, nil
+}
+
+// profileMixed profiles the system's model on a fleet for placement-aware
+// planning, shaped like every profile of the system: communication style,
+// head-count cap and calibration.
+func (s *System) profileMixed(mixed cluster.MixedTopology) (costmodel.HeteroCoeffs, error) {
+	h := costmodel.ProfileMixed(s.cfg.Model, mixed).WithStyle(s.cfg.CommStyle)
+	if err := h.Validate(); err != nil {
+		return h, err
+	}
+	if s.cfg.Pipeline.HeadsCap {
+		h = h.WithHeadsCap()
+	}
+	if s.cal != nil {
+		// Ranges spanning one device class — straggler pseudo-classes
+		// included — get their class's fitted entry.
+		h.Calibrate = s.cal.Calibrator()
+	}
+	return h, nil
+}
+
+// newSolver puts a planner under the system's planning configuration —
+// strategy, Alg. 1 trials, ZeRO accounting — and returns its solver: the one
+// builder behind the system's solver, every elastic rebuild and the ring
+// strategy.
+func (s *System) newSolver(pl *planner.Planner) *solver.Solver {
+	pl.Strategy = s.cfg.Planner
+	sv := solver.New(pl)
+	if s.cfg.Trials > 0 {
+		sv.Trials = s.cfg.Trials
+	}
+	if s.cfg.IncludeZeRO {
+		// Let the solver account for the exposed per-micro-batch ZeRO cost
+		// when choosing the micro-batch count.
+		sv.Overhead = pl.Coeffs.ZeROTime()
+	}
+	return sv
+}
+
+// newJoint puts a joint PP×SP planner under the system's planning
+// configuration.
+func (s *System) newJoint(jp *pipeline.Planner) *pipeline.Planner {
+	jp.Strategy = s.cfg.Planner
+	jp.IncludeZeRO = s.cfg.IncludeZeRO
+	if s.cfg.Trials > 0 {
+		jp.Trials = s.cfg.Trials
+	}
+	if len(s.cfg.Pipeline.Degrees) > 0 {
+		jp.Degrees = s.cfg.Pipeline.Degrees
+	}
+	return jp
 }
 
 // Calibration returns the tag of the loaded calibration file (e.g.
@@ -379,46 +386,21 @@ func (s *System) Topology() *cluster.Elastic {
 
 // rebuildFor builds a solver and joint planner profiled for a live topology
 // snapshot: the elastic daemon's Rebuild hook. The snapshot's fleet is
-// always planned heterogeneously — straggler derating creates per-node
-// pseudo-classes even on a single-class fleet — and the solver is returned
-// without a plan cache so the server attaches a fresh one (stale cached
-// placements from the previous fleet must not leak in).
+// always planned by a range-placing planner — every served group carries
+// its device range, so the next topology event can repair plans, and
+// straggler derating creates per-node pseudo-classes even on a single-class
+// fleet — and the solver is returned without a plan cache so the server
+// attaches a fresh one (stale cached placements from the previous fleet
+// must not leak in).
 func (s *System) rebuildFor(snap cluster.Snapshot) (*solver.Solver, *pipeline.Planner, error) {
 	if len(snap.Mixed.NodeGroups) == 0 {
 		return nil, nil, fmt.Errorf("flexsp: no live devices in topology version %d", snap.Version)
 	}
-	h := costmodel.ProfileMixed(s.cfg.Model, snap.Mixed).WithStyle(s.cfg.CommStyle)
-	if err := h.Validate(); err != nil {
+	h, err := s.profileMixed(snap.Mixed)
+	if err != nil {
 		return nil, nil, fmt.Errorf("flexsp: profiling topology version %d: %w", snap.Version, err)
 	}
-	if s.cfg.Pipeline.HeadsCap {
-		h = h.WithHeadsCap()
-	}
-	if s.cal != nil {
-		// Live-topology rebuilds keep the fitted coefficients: straggler
-		// pseudo-classes span one device class, so single-class ranges still
-		// match their calibration entries.
-		h.Calibrate = s.cal.Calibrator()
-	}
-	pl := planner.NewHetero(h)
-	pl.Strategy = s.cfg.Planner
-	sv := solver.New(pl)
-	if s.cfg.Trials > 0 {
-		sv.Trials = s.cfg.Trials
-	}
-	if s.cfg.IncludeZeRO {
-		sv.Overhead = h.Bottleneck().ZeROTime()
-	}
-	jp := pipeline.NewHeteroPlanner(h)
-	jp.Strategy = s.cfg.Planner
-	jp.IncludeZeRO = s.cfg.IncludeZeRO
-	if s.cfg.Trials > 0 {
-		jp.Trials = s.cfg.Trials
-	}
-	if len(s.cfg.Pipeline.Degrees) > 0 {
-		jp.Degrees = s.cfg.Pipeline.Degrees
-	}
-	return sv, jp, nil
+	return s.newSolver(planner.NewHetero(h)), s.newJoint(pipeline.NewHeteroPlanner(h)), nil
 }
 
 // MustNewSystem is NewSystem for terse examples and tests: it panics on an
@@ -458,11 +440,7 @@ func (s *System) executeMicro(plans []planner.MicroPlan, seed int64) (sim.IterRe
 // system default, or an alternate profile like the ring strategy's flexible-CP
 // solver — sharing the communicator pool either way.
 func (s *System) executeMicroWith(pl *planner.Planner, plans []planner.MicroPlan, seed int64) (sim.IterResult, error) {
-	opts := sim.Options{IncludeZeRO: s.includeZeRO, Pool: s.pool, Seed: seed}
-	if pl.Hetero != nil {
-		return sim.ExecuteIterationHetero(*pl.Hetero, plans, opts)
-	}
-	return sim.ExecuteIteration(pl.Coeffs, plans, opts)
+	return sim.ExecutePriced(pl.Pricing(), plans, sim.Options{IncludeZeRO: s.includeZeRO, Pool: s.pool, Seed: seed})
 }
 
 // Execute replays an iteration's micro-batch plans — e.g. plans decoded from

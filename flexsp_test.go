@@ -297,7 +297,7 @@ func TestHeterogeneousSystem(t *testing.T) {
 		for _, g := range p.Groups {
 			lens = append(lens, g.Lens...)
 		}
-		if err := p.ValidatePlaced(*sys.Hetero, lens); err != nil {
+		if err := p.Validate(sys.Hetero.Pricing(), lens); err != nil {
 			t.Fatal(err)
 		}
 	}

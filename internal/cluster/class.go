@@ -295,9 +295,8 @@ func (m MixedTopology) ClassesIn(r DeviceRange) []DeviceClass {
 	return out
 }
 
-// Uniform returns the legacy homogeneous Topology when the fleet has a
-// single device class, and false otherwise. It is the bridge that keeps the
-// scalar cost-model path bit-compatible for single-class fleets.
+// Uniform returns the homogeneous Topology of a single-class fleet, and false
+// when the fleet mixes classes.
 func (m MixedTopology) Uniform() (Topology, bool) {
 	if len(m.NodeGroups) == 0 {
 		return Topology{}, false
@@ -324,8 +323,9 @@ func (m MixedTopology) Uniform() (Topology, bool) {
 // is paced by the slowest spanned class, memory by the class with the least
 // usable memory, and bandwidth by the slowest spanned link — the group
 // proceeds in lock-step, so every collective and every kernel waits for its
-// slowest participant. For a single-class fleet the view reproduces the
-// legacy Topology exactly, so scalar cost-model numbers do not move.
+// slowest participant. On a single-class fleet every view prices groups
+// exactly like the fleet's Uniform Topology, so where a group lands does not
+// change its cost.
 //
 // Ranges smaller than a node keep Carve's semantics: the view shrinks
 // DevicesPerNode to the range size and keeps only the range's share of the

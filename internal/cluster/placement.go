@@ -113,7 +113,7 @@ func (p GroupPlacement) Validate(n int) error {
 		if r.Size&(r.Size-1) != 0 {
 			return fmt.Errorf("cluster: range %v is not a power of two", r)
 		}
-		if r.End() > n {
+		if r.Start < 0 || r.End() > n {
 			return fmt.Errorf("cluster: range %v exceeds %d devices", r, n)
 		}
 		for dev := r.Start; dev < r.End(); dev++ {

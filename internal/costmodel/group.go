@@ -6,40 +6,6 @@ import (
 	"flexsp/internal/cluster"
 )
 
-// GroupCost is the per-group evaluation API every planning and execution
-// layer consumes: how long one SP group takes and whether it fits, given the
-// sequences assigned to it. The scalar Coeffs implements it for homogeneous
-// clusters (the legacy path — numbers are untouched), and GroupCoeffs
-// implements it for one placed device range of a heterogeneous fleet.
-type GroupCost interface {
-	// ComputeTime is Eq. 12 for the group's sequences, paced by the group's
-	// slowest device.
-	ComputeTime(lens []int, degree int) float64
-	// CommTime is Eq. 13 on the group's bottleneck bandwidth.
-	CommTime(lens []int, degree int) float64
-	// GroupTime is Eq. 14: ComputeTime + CommTime.
-	GroupTime(lens []int, degree int) float64
-	// GroupTimeSums is GroupTime from running Σs and Σs² (planner hot path).
-	GroupTimeSums(sumS, sumS2 float64, degree int) float64
-	// CommUnitTime is the linear per-token communication bound at the degree.
-	CommUnitTime(degree int) float64
-	// MemoryBytes is Eq. 11 for the group's sequences.
-	MemoryBytes(lens []int, degree int) float64
-	// Fits reports the memory constraint (Eq. 7/19) against the group's
-	// minimum per-device memory.
-	Fits(lens []int, degree int) bool
-	// MaxTokensPerDevice is the activation token capacity of the group's
-	// most memory-constrained device.
-	MaxTokensPerDevice() int
-	// MaxTokensPerGroup is the token capacity at the given degree.
-	MaxTokensPerGroup(degree int) int
-}
-
-var (
-	_ GroupCost = Coeffs{}
-	_ GroupCost = GroupCoeffs{}
-)
-
 // GroupCoeffs is the per-placement evaluation of a heterogeneous cost model:
 // the shared model-derived coefficients specialized to one placed device
 // range. Compute is paced by the slowest device in the range, memory uses
@@ -72,8 +38,6 @@ type HeteroCoeffs struct {
 	// placement: ZeRO-3 shards parameters over the full fleet, so it does
 	// not depend on which range a group occupies.
 	MStateBytes float64
-	// MTokenBytes is activation memory per token (class-independent).
-	MTokenBytes float64
 	// Calibrate, when non-nil, overlays fitted coefficients onto each
 	// per-range profile given the device classes the range spans (set from
 	// a calibration file via calib.File.Calibrator; costmodel itself never
@@ -85,12 +49,10 @@ type HeteroCoeffs struct {
 // fleet, the MixedTopology counterpart of Profile.
 func ProfileMixed(m ModelConfig, mx cluster.MixedTopology) HeteroCoeffs {
 	n := float64(mx.NumDevices())
-	l, h := float64(m.Layers), float64(m.HiddenDim)
 	return HeteroCoeffs{
 		Model:       m,
 		Mixed:       mx,
 		MStateBytes: bytesPerParamState*m.Params/n + stateWorkingOverheadBytes,
-		MTokenBytes: stageActBytesPerToken(m.Recompute, l, h, 1),
 	}
 }
 
@@ -114,33 +76,8 @@ func (hc HeteroCoeffs) Group(r cluster.DeviceRange) GroupCoeffs {
 	return GroupCoeffs{Coeffs: c, Range: r}
 }
 
-// GroupEvaluator memoizes Group by device range: within one solve or one
-// executed iteration the same few ranges are evaluated many times, and
-// profiling is pure, so both the planner and the executor share this cache
-// instead of re-deriving coefficients per occurrence. Not safe for
-// concurrent use; create one per goroutine.
-type GroupEvaluator struct {
-	h     HeteroCoeffs
-	cache map[cluster.DeviceRange]GroupCoeffs
-}
-
-// Evaluator returns a fresh memoizing Group evaluator for this fleet.
-func (hc HeteroCoeffs) Evaluator() *GroupEvaluator {
-	return &GroupEvaluator{h: hc, cache: make(map[cluster.DeviceRange]GroupCoeffs)}
-}
-
-// Group is HeteroCoeffs.Group with memoization.
-func (ev *GroupEvaluator) Group(r cluster.DeviceRange) GroupCoeffs {
-	if e, ok := ev.cache[r]; ok {
-		return e
-	}
-	e := ev.h.Group(r)
-	ev.cache[r] = e
-	return e
-}
-
-// Uniform returns the legacy scalar cost model when the fleet has one device
-// class — the bridge that keeps single-class topologies bit-compatible.
+// Uniform returns the scalar cost model when the fleet has one device class:
+// every range of such a fleet prices like it.
 func (hc HeteroCoeffs) Uniform() (Coeffs, bool) {
 	topo, ok := hc.Mixed.Uniform()
 	if !ok {
@@ -158,7 +95,7 @@ func (hc HeteroCoeffs) Uniform() (Coeffs, bool) {
 // Bottleneck returns the conservative scalar cost model that treats every
 // device as the fleet's slowest, smallest-memory class: what a
 // class-oblivious planner would assume, and the safe whole-cluster view
-// hetero-unaware consumers (plan caches, baselines) fall back to.
+// hetero-unaware consumers (baselines, unplaced groups) fall back to.
 func (hc HeteroCoeffs) Bottleneck() Coeffs {
 	g := hc.Group(hc.Mixed.FullRange())
 	return g.Coeffs
@@ -217,22 +154,26 @@ func (hc HeteroCoeffs) MaxDegree() int {
 	return ds[len(ds)-1]
 }
 
-// maxTokensPerDeviceOf is the activation token capacity of one device class.
-func (hc HeteroCoeffs) maxTokensPerDeviceOf(dc cluster.DeviceClass) int {
-	budget := float64(dc.UsableMemory()) - hc.MStateBytes
-	if budget <= 0 {
-		return 0
+// nodeGroupRanges returns the device range of each node group, in fleet
+// order: the single-class regions of the fleet.
+func (hc HeteroCoeffs) nodeGroupRanges() []cluster.DeviceRange {
+	out := make([]cluster.DeviceRange, len(hc.Mixed.NodeGroups))
+	start := 0
+	for i, g := range hc.Mixed.NodeGroups {
+		out[i] = cluster.DeviceRange{Start: start, Size: g.Devices()}
+		start += g.Devices()
 	}
-	return int(budget / hc.MTokenBytes)
+	return out
 }
 
 // ClusterTokenCapacity is the total activation tokens the fleet can hold in
-// one micro-batch, summing each device's class-specific capacity (the
-// heterogeneous generalization of Coeffs.ClusterTokenCapacity).
+// one micro-batch, summing each device's class-specific capacity under the
+// (calibrated) profile its group's range gets (the heterogeneous
+// generalization of Coeffs.ClusterTokenCapacity).
 func (hc HeteroCoeffs) ClusterTokenCapacity() int {
 	total := 0
-	for _, g := range hc.Mixed.NodeGroups {
-		total += g.Devices() * hc.maxTokensPerDeviceOf(g.Class)
+	for _, r := range hc.nodeGroupRanges() {
+		total += r.Size * hc.Group(r).MaxTokensPerDevice()
 	}
 	return total
 }
@@ -258,10 +199,96 @@ func (hc HeteroCoeffs) Validate() error {
 	if err := hc.Mixed.Validate(); err != nil {
 		return err
 	}
-	for _, g := range hc.Mixed.NodeGroups {
-		if hc.maxTokensPerDeviceOf(g.Class) > 0 {
+	for _, r := range hc.nodeGroupRanges() {
+		if hc.Group(r).MaxTokensPerDevice() > 0 {
 			return nil
 		}
 	}
 	return fmt.Errorf("costmodel: %s model states exceed every device class's memory", hc.Model.Name)
+}
+
+// Pricing is how an SP group is priced: as a function of the device range it
+// lands on. On a scalar model or a single-class fleet every range prices
+// alike, and Group returns Fleet for all of them; on a mixed fleet Group(r)
+// is HeteroCoeffs.Group(r). The planner, executor, plan cache and plan
+// explanations all price groups through it, so a homogeneous cluster is
+// just the fleet whose pricing is constant.
+type Pricing struct {
+	// Fleet is the whole-fleet cost model: the scalar coefficients, or a
+	// mixed fleet's conservative bottleneck view. It also prices unplaced
+	// groups.
+	Fleet Coeffs
+	mixed *HeteroCoeffs // nil when every range prices alike
+}
+
+// Pricing prices every device range with c.
+func (c Coeffs) Pricing() Pricing { return Pricing{Fleet: c} }
+
+// Pricing returns the fleet's group pricing: per range on a mixed fleet,
+// the bottleneck view (equal to every range's profile) on a single-class
+// one.
+func (hc HeteroCoeffs) Pricing() Pricing {
+	p := Pricing{Fleet: hc.Bottleneck()}
+	if _, ok := hc.Mixed.Uniform(); !ok {
+		p.mixed = &hc
+	}
+	return p
+}
+
+// Uniform reports whether every device range prices alike, so where a group
+// lands cannot change its cost.
+func (p Pricing) Uniform() bool { return p.mixed == nil }
+
+// Group returns the coefficients of a group occupying r. The zero range (an
+// unplaced group) gets Fleet.
+func (p Pricing) Group(r cluster.DeviceRange) Coeffs {
+	if p.mixed == nil || r.Size == 0 {
+		return p.Fleet
+	}
+	return p.mixed.Group(r).Coeffs
+}
+
+// MinDegreeFor returns the smallest valid SP degree at which some range can
+// hold a sequence of length s, or 0 if none can.
+func (p Pricing) MinDegreeFor(s int) int {
+	if p.mixed == nil {
+		return p.Fleet.MinDegreeFor(s)
+	}
+	return p.mixed.MinDegreeFor(s)
+}
+
+// TokenCapacity is the fleet's one-micro-batch activation token capacity.
+func (p Pricing) TokenCapacity() int {
+	if p.mixed == nil {
+		return p.Fleet.ClusterTokenCapacity()
+	}
+	return p.mixed.ClusterTokenCapacity()
+}
+
+// GroupEvaluator memoizes Pricing.Group by device range: within one executed
+// iteration or one plan repair the same few ranges are evaluated many times,
+// and profiling is pure, so the executor and the re-solver share this cache
+// instead of re-deriving coefficients per occurrence. Not safe for
+// concurrent use; create one per goroutine.
+type GroupEvaluator struct {
+	p     Pricing
+	cache map[cluster.DeviceRange]Coeffs
+}
+
+// Evaluator returns a fresh memoizing evaluator of the pricing.
+func (p Pricing) Evaluator() *GroupEvaluator {
+	return &GroupEvaluator{p: p, cache: make(map[cluster.DeviceRange]Coeffs)}
+}
+
+// Group is Pricing.Group with memoization.
+func (ev *GroupEvaluator) Group(r cluster.DeviceRange) Coeffs {
+	if ev.p.mixed == nil {
+		return ev.p.Fleet
+	}
+	c, ok := ev.cache[r]
+	if !ok {
+		c = ev.p.Group(r)
+		ev.cache[r] = c
+	}
+	return c
 }

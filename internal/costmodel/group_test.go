@@ -15,8 +15,8 @@ func mixed(t *testing.T, parts ...cluster.ClassCount) cluster.MixedTopology {
 	return m
 }
 
-// Acceptance: GroupCost on an all-A100 MixedCluster equals the legacy scalar
-// Coeffs path — existing numbers must not move for single-class topologies.
+// Acceptance: every range of an all-A100 MixedCluster prices like the scalar
+// Coeffs — existing numbers must not move for single-class topologies.
 func TestHeterogeneousSingleClassEquivalence(t *testing.T) {
 	m := mixed(t, cluster.ClassCount{Class: cluster.A100_40G, Devices: 64})
 	legacy := Profile(GPT7B, cluster.A100Cluster(64))
@@ -41,7 +41,7 @@ func TestHeterogeneousSingleClassEquivalence(t *testing.T) {
 		{cluster.DeviceRange{Start: 62, Size: 2}, 2},
 	} {
 		g := hc.Group(tc.r)
-		var got, want GroupCost = g, legacy
+		got, want := g.Coeffs, legacy
 		if a, b := got.ComputeTime(lens, tc.d), want.ComputeTime(lens, tc.d); a != b {
 			t.Errorf("range %v ComputeTime = %g, legacy %g", tc.r, a, b)
 		}
@@ -67,6 +67,32 @@ func TestHeterogeneousSingleClassEquivalence(t *testing.T) {
 	for _, s := range []int{1 << 10, 64 << 10, 192 << 10, 384 << 10} {
 		if got, want := hc.MinDegreeFor(s), legacy.MinDegreeFor(s); got != want {
 			t.Errorf("MinDegreeFor(%d) = %d, legacy %d", s, got, want)
+		}
+	}
+
+	// Calibrated: a fitted entry whose activation bytes per token are twice
+	// the analytic value must halve every capacity, whichever constructor
+	// built the single-class model.
+	calibrate := func(c Coeffs, _ []cluster.DeviceClass) Coeffs {
+		c.MTokenBytes *= 2
+		c.Calibration = "test"
+		return c
+	}
+	hc.Calibrate = calibrate
+	calLegacy := calibrate(legacy, nil)
+	if u, ok := hc.Uniform(); !ok || u != calLegacy {
+		t.Fatalf("calibrated Uniform() = %+v, want %+v", u, calLegacy)
+	}
+	perDevice := hc.Group(m.FullRange()).MaxTokensPerDevice()
+	if perDevice != calLegacy.MaxTokensPerDevice() {
+		t.Errorf("calibrated per-device capacity %d, legacy %d", perDevice, calLegacy.MaxTokensPerDevice())
+	}
+	if got, want := hc.ClusterTokenCapacity(), calLegacy.ClusterTokenCapacity(); got != want || got != 64*perDevice {
+		t.Errorf("calibrated ClusterTokenCapacity = %d, legacy %d, 64 × group capacity %d", got, want, 64*perDevice)
+	}
+	for _, s := range []int{1 << 10, 64 << 10, 192 << 10} {
+		if got, want := hc.MinDegreeFor(s), calLegacy.MinDegreeFor(s); got != want {
+			t.Errorf("calibrated MinDegreeFor(%d) = %d, legacy %d", s, got, want)
 		}
 	}
 }
@@ -153,5 +179,14 @@ func TestHeterogeneousCapsAndValidate(t *testing.T) {
 	}
 	if withHeads.MaxDegree() != 16 {
 		t.Errorf("MaxDegree = %d, want device-bounded 16", withHeads.MaxDegree())
+	}
+	// Each class is judged by its calibrated capacity: a fitted entry that
+	// leaves no room for activations makes the fleet unusable.
+	hc.Calibrate = func(c Coeffs, _ []cluster.DeviceClass) Coeffs {
+		c.MTokenBytes = float64(c.Topo.UsableMemory())
+		return c
+	}
+	if err := hc.Validate(); err == nil {
+		t.Error("Validate accepted a calibration that leaves no token capacity")
 	}
 }

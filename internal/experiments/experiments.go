@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §3 for the experiment index). Each experiment is
-// a pure function of a Config, returning a structured result plus a
-// text rendering, so the same code backs the flexsp-bench CLI, the
-// bench_test.go harness and EXPERIMENTS.md.
+// evaluation (ARCHITECTURE.md maps paper sections to packages). Each
+// experiment is a pure function of a Config, returning a structured result
+// plus a text rendering, so the same code backs the flexsp-bench CLI and
+// the bench_test.go harness.
 package experiments
 
 import (

@@ -158,8 +158,8 @@ func TestTable4DPBeatsNaive(t *testing.T) {
 	for i, name := range res.Datasets {
 		// DP must beat naive decisively (paper: ≤2.3% vs up to 22%). Our
 		// synthetic corpora yield slightly higher absolute DP errors than
-		// the paper's (recorded in EXPERIMENTS.md); the shape claims are
-		// the large gap and the single-digit DP error.
+		// the paper's; the shape claims are the large gap and the
+		// single-digit DP error.
 		if res.DPError[i]*2 >= res.NaiveErr[i] {
 			t.Errorf("%s: DP %.4f not ≪ naive %.4f", name, res.DPError[i], res.NaiveErr[i])
 		}

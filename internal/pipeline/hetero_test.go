@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"flexsp/internal/cluster"
@@ -84,36 +85,29 @@ func TestHeterogeneousStageSplit(t *testing.T) {
 	}
 }
 
-// On a single-class fleet NewHetero must reproduce New exactly.
+// Across fleet sizes, PP degrees and micro-batch counts, NewHetero on a
+// single-class fleet must build exactly the pipeline New builds from the
+// fleet's scalar profile.
 func TestHeterogeneousPipelineSingleClassEquivalence(t *testing.T) {
-	m, err := cluster.MixedCluster(cluster.ClassCount{Class: cluster.A100_40G, Devices: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hc := costmodel.ProfileMixed(costmodel.GPT7B, m)
-	base := costmodel.Profile(costmodel.GPT7B, cluster.A100Cluster(32))
-	legacy, err := New(base, 4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hetero, err := NewHetero(hc, 4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hetero.Stages) != len(legacy.Stages) {
-		t.Fatalf("stage counts differ: %d vs %d", len(hetero.Stages), len(legacy.Stages))
-	}
-	for i := range legacy.Stages {
-		ls, hs := legacy.Stages[i], hetero.Stages[i]
-		if ls.Layers != hs.Layers || ls.Devices != hs.Devices || ls.InFlight != hs.InFlight {
-			t.Errorf("stage %d shape differs: %+v vs %+v", i, ls, hs)
+	for _, n := range []int{8, 16, 32, 64} {
+		m, err := cluster.MixedCluster(cluster.ClassCount{Class: cluster.A100_40G, Devices: n})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if ls.Coeffs != hs.Coeffs {
-			t.Errorf("stage %d coeffs differ:\n%+v\nvs\n%+v", i, ls.Coeffs, hs.Coeffs)
+		hc := costmodel.ProfileMixed(costmodel.GPT7B, m)
+		base := costmodel.Profile(costmodel.GPT7B, cluster.A100Cluster(n))
+		for _, pp := range []int{1, 2, 4, 8} {
+			for _, mb := range []int{1, 3, 8} {
+				legacy, lerr := New(base, pp, mb)
+				hetero, herr := NewHetero(hc, pp, mb)
+				if lerr != nil || herr != nil {
+					t.Fatalf("%d devices PP=%d M=%d: errors %v (New) vs %v (NewHetero)", n, pp, mb, lerr, herr)
+				}
+				if !reflect.DeepEqual(legacy, hetero) {
+					t.Errorf("%d devices PP=%d M=%d: pipelines differ:\n%+v\nvs\n%+v", n, pp, mb, legacy, hetero)
+				}
+			}
 		}
-	}
-	if legacy.Base != hetero.Base {
-		t.Errorf("base coeffs differ")
 	}
 }
 

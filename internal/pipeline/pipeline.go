@@ -68,43 +68,18 @@ type Pipeline struct {
 // base cost model's communication style and SP-degree cap carry over to
 // every stage.
 func New(base costmodel.Coeffs, pp, m int) (Pipeline, error) {
-	n := base.Topo.NumDevices()
-	switch {
-	case pp < 1:
-		return Pipeline{}, fmt.Errorf("pipeline: non-positive PP degree %d", pp)
-	case pp > base.Model.Layers:
-		return Pipeline{}, fmt.Errorf("pipeline: PP=%d exceeds %d layers", pp, base.Model.Layers)
-	case m < 1:
-		return Pipeline{}, fmt.Errorf("pipeline: non-positive micro-batch count %d", m)
+	if err := checkShape(base.Model, pp, m); err != nil {
+		return Pipeline{}, err
 	}
 	sub, err := base.Topo.Carve(pp)
 	if err != nil {
 		return Pipeline{}, fmt.Errorf("pipeline: %w", err)
 	}
-	per := n / pp
-	layers, rem := base.Model.Layers/pp, base.Model.Layers%pp
-	p := Pipeline{Base: base, PP: pp, M: m, Stages: make([]Stage, pp)}
-	for s := 0; s < pp; s++ {
-		sl := layers
-		if s < rem {
-			sl++
-		}
-		inFlight := pp - s
-		if inFlight > m {
-			inFlight = m
-		}
-		c := costmodel.StageProfile(base.Model, sub, sl, base.Model.Layers, inFlight)
-		c.Style = base.Style
-		c.MaxSPDegree = base.MaxSPDegree
-		p.Stages[s] = Stage{
-			Index:    s,
-			Layers:   sl,
-			Devices:  cluster.DeviceRange{Start: s * per, Size: per},
-			InFlight: inFlight,
-			Coeffs:   c,
-		}
+	views := make([]cluster.Topology, pp)
+	for s := range views {
+		views[s] = sub
 	}
-	return p, nil
+	return build(base, views, m), nil
 }
 
 // NewHetero partitions the model over a heterogeneous fleet: devices are
@@ -117,39 +92,60 @@ func New(base costmodel.Coeffs, pp, m int) (Pipeline, error) {
 // planning therefore sees a homogeneous sub-cluster. On a single-class
 // fleet the split degenerates to New's balanced partition.
 func NewHetero(h costmodel.HeteroCoeffs, pp, m int) (Pipeline, error) {
+	if err := checkShape(h.Model, pp, m); err != nil {
+		return Pipeline{}, err
+	}
 	n := h.Mixed.NumDevices()
-	switch {
-	case pp < 1:
-		return Pipeline{}, fmt.Errorf("pipeline: non-positive PP degree %d", pp)
-	case pp > h.Model.Layers:
-		return Pipeline{}, fmt.Errorf("pipeline: PP=%d exceeds %d layers", pp, h.Model.Layers)
-	case m < 1:
-		return Pipeline{}, fmt.Errorf("pipeline: non-positive micro-batch count %d", m)
-	case n%pp != 0:
+	if n%pp != 0 {
 		return Pipeline{}, fmt.Errorf("pipeline: %d devices not divisible into %d stages", n, pp)
 	}
 	per := n / pp
 	views := make([]cluster.Topology, pp)
-	weights := make([]float64, pp)
-	for s := 0; s < pp; s++ {
+	for s := range views {
 		v, err := h.Mixed.RangeView(cluster.DeviceRange{Start: s * per, Size: per})
 		if err != nil {
 			return Pipeline{}, fmt.Errorf("pipeline: %w", err)
 		}
 		views[s] = v
+	}
+	return build(h.Bottleneck(), views, m), nil
+}
+
+// checkShape rejects PP degrees and micro-batch counts no pipeline of the
+// model can have.
+func checkShape(model costmodel.ModelConfig, pp, m int) error {
+	switch {
+	case pp < 1:
+		return fmt.Errorf("pipeline: non-positive PP degree %d", pp)
+	case pp > model.Layers:
+		return fmt.Errorf("pipeline: PP=%d exceeds %d layers", pp, model.Layers)
+	case m < 1:
+		return fmt.Errorf("pipeline: non-positive micro-batch count %d", m)
+	}
+	return nil
+}
+
+// build assembles the stages over equal contiguous device ranges, one per
+// view: layers are apportioned by each view's compute rate (an even split
+// when the views match), and each stage is profiled on its view with the
+// base model's communication style and SP-degree cap.
+func build(base costmodel.Coeffs, views []cluster.Topology, m int) Pipeline {
+	pp := len(views)
+	per := base.Topo.NumDevices() / pp
+	weights := make([]float64, pp)
+	for s, v := range views {
 		weights[s] = v.EffFLOPS
 	}
-	layers := apportionLayers(h.Model.Layers, weights)
-	base := h.Bottleneck()
+	layers := apportionLayers(base.Model.Layers, weights)
 	p := Pipeline{Base: base, PP: pp, M: m, Stages: make([]Stage, pp)}
-	for s := 0; s < pp; s++ {
+	for s := range views {
 		inFlight := pp - s
 		if inFlight > m {
 			inFlight = m
 		}
-		c := costmodel.StageProfile(h.Model, views[s], layers[s], h.Model.Layers, inFlight)
-		c.Style = h.Style
-		c.MaxSPDegree = h.MaxSPDegree
+		c := costmodel.StageProfile(base.Model, views[s], layers[s], base.Model.Layers, inFlight)
+		c.Style = base.Style
+		c.MaxSPDegree = base.MaxSPDegree
 		p.Stages[s] = Stage{
 			Index:    s,
 			Layers:   layers[s],
@@ -158,7 +154,7 @@ func NewHetero(h costmodel.HeteroCoeffs, pp, m int) (Pipeline, error) {
 			Coeffs:   c,
 		}
 	}
-	return p, nil
+	return p
 }
 
 // apportionLayers splits total layers proportionally to the stage weights

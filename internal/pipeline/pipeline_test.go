@@ -312,7 +312,7 @@ func TestJointPlanCoverage(t *testing.T) {
 			lens = append(lens, g.Lens...)
 		}
 		for s, mp := range stages {
-			if err := mp.Validate(res.Pipe.Stages[s].Coeffs, lens); err != nil {
+			if err := mp.Validate(res.Pipe.Stages[s].Coeffs.Pricing(), lens); err != nil {
 				t.Fatalf("micro %d stage %d: %v", j, s, err)
 			}
 		}

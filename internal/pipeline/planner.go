@@ -22,13 +22,9 @@ import (
 // plan matches or beats flat by construction. Setting Degrees without 1 —
 // e.g. to pin a pipeline depth — deliberately forgoes that guarantee.
 type Planner struct {
-	// Base is the flat cost model the pipelines derive from. On a
-	// heterogeneous fleet (Hetero non-nil) it holds the bottleneck view.
+	// Base is the flat cost model the pipelines derive from; on a
+	// heterogeneous fleet (NewHeteroPlanner) its bottleneck view.
 	Base costmodel.Coeffs
-	// Hetero, when non-nil, builds every candidate pipeline with NewHetero:
-	// stage ranges keep their device classes and layer splits follow
-	// per-stage compute rates.
-	Hetero *costmodel.HeteroCoeffs
 	// Degrees are the candidate PP degrees (default 1, 2, 4, 8); degrees
 	// that do not divide the cluster or exceed the layer count are skipped.
 	Degrees []int
@@ -41,6 +37,10 @@ type Planner struct {
 	// IncludeZeRO charges exposed per-stage ZeRO time in the simulated
 	// schedules (and therefore in the PP comparison).
 	IncludeZeRO bool
+
+	// newPipe builds the candidate pipeline for a PP degree and micro-batch
+	// count: New over Base, or NewHetero over the mixed fleet.
+	newPipe func(pp, m int) (Pipeline, error)
 }
 
 // DefaultDegrees is the PP sweep of the joint planner.
@@ -48,22 +48,18 @@ var DefaultDegrees = []int{1, 2, 4, 8}
 
 // NewPlanner returns a joint planner with the default sweep.
 func NewPlanner(base costmodel.Coeffs) *Planner {
-	return &Planner{Base: base, Degrees: DefaultDegrees, Trials: blaster.DefaultTrials, Parallel: true}
+	return newPlanner(base, func(pp, m int) (Pipeline, error) { return New(base, pp, m) })
 }
 
-// NewHeteroPlanner returns a joint planner over a heterogeneous fleet.
+// NewHeteroPlanner returns a joint planner over a heterogeneous fleet: stage
+// ranges keep their device classes and layer splits follow per-stage
+// compute rates (NewHetero).
 func NewHeteroPlanner(h costmodel.HeteroCoeffs) *Planner {
-	return &Planner{Base: h.Bottleneck(), Hetero: &h, Degrees: DefaultDegrees,
-		Trials: blaster.DefaultTrials, Parallel: true}
+	return newPlanner(h.Bottleneck(), func(pp, m int) (Pipeline, error) { return NewHetero(h, pp, m) })
 }
 
-// newPipe builds one candidate pipeline, class-aware when a mixed fleet is
-// configured.
-func (jp *Planner) newPipe(pp, m int) (Pipeline, error) {
-	if jp.Hetero != nil {
-		return NewHetero(*jp.Hetero, pp, m)
-	}
-	return New(jp.Base, pp, m)
+func newPlanner(base costmodel.Coeffs, newPipe func(pp, m int) (Pipeline, error)) *Planner {
+	return &Planner{Base: base, Degrees: DefaultDegrees, Trials: blaster.DefaultTrials, Parallel: true, newPipe: newPipe}
 }
 
 // Candidate summarizes one swept PP degree.

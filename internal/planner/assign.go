@@ -48,47 +48,58 @@ func itemsFromBuckets(buckets []bucket.Bucket) []item {
 	return items
 }
 
-// degreeMemo caches the per-degree derived quantities newAssignment needs —
-// the group token capacity and the linear per-token communication factor —
-// so candidate-configuration scans stop re-deriving them for every group of
-// every configuration within one Plan call.
-type degreeMemo struct {
+// groupMemo caches what reconfigure derives per group — its coefficients,
+// token capacity and linear per-token communication factor — by degree and
+// device range, so the hundreds of candidate configurations one Plan call
+// scans derive each distinct group once. When every range prices alike the
+// range is ignored and the cache is per degree.
+type groupMemo struct {
+	pr      costmodel.Pricing
+	uniform bool
+	m       map[uint64]*groupPrice // keyed by range start << 32 | degree
+}
+
+type groupPrice struct {
 	c         costmodel.Coeffs
-	capTokens map[int]int64
-	commPT    map[int]float64
+	capTokens int64
+	commPT    float64
 }
 
-func newDegreeMemo(c costmodel.Coeffs) *degreeMemo {
-	return &degreeMemo{c: c, capTokens: make(map[int]int64), commPT: make(map[int]float64)}
+func newGroupMemo(pr costmodel.Pricing) *groupMemo {
+	return &groupMemo{pr: pr, uniform: pr.Uniform(), m: make(map[uint64]*groupPrice)}
 }
 
-func (dm *degreeMemo) get(d int) (int64, float64) {
-	if cap, ok := dm.capTokens[d]; ok {
-		return cap, dm.commPT[d]
+// get prices a degree-d group on range r (the zero range when unplaced).
+func (gm *groupMemo) get(d int, r cluster.DeviceRange) *groupPrice {
+	key := uint64(d)
+	if !gm.uniform {
+		key |= uint64(r.Start) << 32
 	}
-	cap := int64(dm.c.MaxTokensPerGroup(d))
-	pt := dm.c.CommUnitTime(d)
-	dm.capTokens[d] = cap
-	dm.commPT[d] = pt
-	return cap, pt
+	if gp, ok := gm.m[key]; ok {
+		return gp
+	}
+	c := gm.pr.Group(r)
+	gp := &groupPrice{c: c, capTokens: int64(c.MaxTokensPerGroup(d)), commPT: c.CommUnitTime(d)}
+	gm.m[key] = gp
+	return gp
 }
 
 // assignment is the incremental state of placing items onto a fixed group
 // configuration. Group time is evaluated in O(1) per update from running
 // Σs and Σs² (Eq. 12–14 are linear in those sums), and each group's current
 // time is cached so the makespan never re-derives unchanged groups. Every
-// group carries its own coefficients: identical for all groups on a
-// homogeneous cluster (the legacy path), placement-specific on a
-// heterogeneous fleet, where a group's speed and memory depend on the
+// group carries the coefficients its pricing gives its device range: the
+// same for all groups when every range prices alike, placement-specific on
+// a mixed fleet, where a group's speed and memory depend on the
 // device-class region it occupies.
 //
 // One assignment is reused across the hundreds of candidate configurations a
-// Plan call scans: reconfigure/reconfigurePlaced reset the group state while
-// keeping every backing buffer.
+// Plan call scans: reconfigure resets the group state while keeping every
+// backing buffer.
 type assignment struct {
-	cs        []costmodel.Coeffs
+	cs        []*costmodel.Coeffs // owned by the groupMemo
 	degrees   []int
-	ranges    []cluster.DeviceRange // nil on the unplaced homogeneous path
+	ranges    []cluster.DeviceRange // empty when the groups are unplaced
 	capTokens []int64
 	// commPT[g] is the linear per-token communication factor for group g
 	// (per-token all-to-all time, or the ring traffic time for CP); with it
@@ -121,7 +132,7 @@ func newAssignmentShell(k int) *assignment {
 // clearing per-group state.
 func (a *assignment) grow(k int) {
 	if cap(a.cs) < k {
-		a.cs = make([]costmodel.Coeffs, k)
+		a.cs = make([]*costmodel.Coeffs, k)
 		a.degrees = make([]int, k)
 		a.capTokens = make([]int64, k)
 		a.commPT = make([]float64, k)
@@ -158,34 +169,35 @@ func (a *assignment) grow(k int) {
 		a.tokens[g] = 0
 		a.times[g] = 0
 	}
-	// Empty (not nil) so reconfigurePlaced can reuse the backing array; the
-	// homogeneous path leaves it empty.
 	a.ranges = a.ranges[:0]
 	a.ringCP = false
 }
 
-// newAssignment builds the homogeneous-cluster assignment: one shared cost
-// model for every group.
+// newAssignment builds the assignment of unplaced groups of the given
+// degrees, all priced by c.
 func newAssignment(c costmodel.Coeffs, degrees []int) *assignment {
 	a := newAssignmentShell(len(degrees))
-	a.reconfigure(c, degrees, nil)
+	a.reconfigure(newGroupMemo(c.Pricing()), degrees, nil)
 	return a
 }
 
-// reconfigure resets the assignment onto a new homogeneous configuration,
-// reusing all buffers. memo, when non-nil, supplies the per-degree derived
-// quantities.
-func (a *assignment) reconfigure(c costmodel.Coeffs, degrees []int, memo *degreeMemo) {
+// reconfigure resets the assignment onto a new configuration, reusing all
+// buffers: group g gets degrees[g] devices and, when ranges is non-nil, the
+// device range ranges[g], priced through memo.
+func (a *assignment) reconfigure(memo *groupMemo, degrees []int, ranges []cluster.DeviceRange) {
 	a.grow(len(degrees))
-	a.ringCP = c.Style == costmodel.StyleRingCP
+	a.ranges = append(a.ranges, ranges...)
 	copy(a.degrees, degrees)
 	for g, d := range degrees {
-		a.cs[g] = c
-		if memo != nil {
-			a.capTokens[g], a.commPT[g] = memo.get(d)
-		} else {
-			a.capTokens[g] = int64(c.MaxTokensPerGroup(d))
-			a.commPT[g] = c.CommUnitTime(d)
+		var r cluster.DeviceRange
+		if ranges != nil {
+			r = ranges[g]
+		}
+		gp := memo.get(d, r)
+		a.cs[g] = &gp.c
+		a.capTokens[g], a.commPT[g] = gp.capTokens, gp.commPT
+		if gp.c.Style == costmodel.StyleRingCP {
+			a.ringCP = true
 		}
 		a.setAffine(g)
 	}
@@ -194,7 +206,7 @@ func (a *assignment) reconfigure(c costmodel.Coeffs, degrees []int, memo *degree
 // setAffine derives group g's affine time coefficients from its cost model,
 // degree, and per-token communication factor.
 func (a *assignment) setAffine(g int) {
-	c := &a.cs[g]
+	c := a.cs[g]
 	d := float64(a.degrees[g])
 	a.pA[g] = c.Alpha1 / d
 	a.pB[g] = c.Alpha2 / d
@@ -204,38 +216,6 @@ func (a *assignment) setAffine(g int) {
 		a.pC[g] += c.Beta2
 	}
 	a.partial[g] = a.pC[g]
-}
-
-// newPlacedAssignment builds the heterogeneous assignment from placed
-// per-group coefficients: group g's degree is its range's size and its cost
-// is evaluated against that range's device classes.
-func newPlacedAssignment(evals []costmodel.GroupCoeffs) *assignment {
-	a := newAssignmentShell(len(evals))
-	a.reconfigurePlaced(evals)
-	return a
-}
-
-// reconfigurePlaced resets the assignment onto a new placed configuration,
-// reusing all buffers.
-func (a *assignment) reconfigurePlaced(evals []costmodel.GroupCoeffs) {
-	a.grow(len(evals))
-	if cap(a.ranges) < len(evals) {
-		a.ranges = make([]cluster.DeviceRange, len(evals))
-	} else {
-		a.ranges = a.ranges[:len(evals)]
-	}
-	for g, e := range evals {
-		d := e.Range.Size
-		a.cs[g] = e.Coeffs
-		a.degrees[g] = d
-		a.ranges[g] = e.Range
-		a.capTokens[g] = int64(e.MaxTokensPerGroup(d))
-		a.commPT[g] = e.CommUnitTime(d)
-		if e.Style == costmodel.StyleRingCP {
-			a.ringCP = true
-		}
-		a.setAffine(g)
-	}
 }
 
 // timeSums is the inlined equivalent of Coeffs.GroupTimeSums using the
@@ -248,7 +228,7 @@ func (a *assignment) timeSums(g int, sumS, sumS2 float64) float64 {
 	if !a.ringCP {
 		return a.pA[g]*sumS2 + a.pB[g]*sumS + a.pC[g]
 	}
-	c := &a.cs[g]
+	c := a.cs[g]
 	d := float64(a.degrees[g])
 	comp := (c.Alpha1*sumS2+c.Alpha2*sumS)/d + c.Beta1
 	if a.degrees[g] <= 1 {
@@ -484,7 +464,7 @@ func (a *assignment) plan(memo *groupTimeMemo) MicroPlan {
 		p.Groups = append(p.Groups, grp)
 		var t float64
 		if memo != nil {
-			t = memo.groupTime(&a.cs[g], grp)
+			t = memo.groupTime(a.cs[g], grp)
 		} else {
 			t = a.cs[g].GroupTime(lens, d)
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"flexsp/internal/cluster"
 	"flexsp/internal/obs"
 )
 
@@ -14,16 +15,22 @@ import (
 const enumLimit = 64
 
 // planEnum is the default solver: enumerate (or search) degree multisets,
-// place items with LPT, refine the most promising configurations. The
-// context is used only for span annotation (candidate/refine counts); the
-// search itself is fast enough not to need cancellation points.
+// place items with LPT, refine the most promising configurations. On a
+// mixed fleet every configuration is scanned under each placement bias (see
+// placementBiases), its groups priced by the ranges they land on; when every
+// range prices alike one unplaced scan per configuration suffices, and a
+// range-placing planner puts the winning groups on the configuration's
+// lowest-address placement — it covers every group of the configuration,
+// so dropping the ones left empty shifts no range. The context is used only
+// for span annotation (candidate/refine counts); the search itself is fast
+// enough not to need cancellation points.
 func (pl *Planner) planEnum(ctx context.Context, lens []int) (MicroPlan, error) {
 	if len(lens) == 0 {
 		return MicroPlan{}, nil
 	}
 	span := obs.FromContext(ctx)
-	c := pl.Coeffs
-	n := c.Topo.NumDevices()
+	pr := pl.Pricing()
+	n := pr.Fleet.Topo.NumDevices()
 
 	maxLen := 0
 	for _, l := range lens {
@@ -31,7 +38,7 @@ func (pl *Planner) planEnum(ctx context.Context, lens []int) (MicroPlan, error) 
 			maxLen = l
 		}
 	}
-	minDeg := c.MinDegreeFor(maxLen)
+	minDeg := pr.MinDegreeFor(maxLen)
 	if minDeg == 0 {
 		return MicroPlan{}, ErrInfeasible
 	}
@@ -44,33 +51,53 @@ func (pl *Planner) planEnum(ctx context.Context, lens []int) (MicroPlan, error) 
 
 	type cand struct {
 		degrees []int
+		ranges  []cluster.DeviceRange
 		span    float64
 	}
 	var cands []cand
-	// One reusable assignment scans every candidate configuration; placement
-	// is aborted as soon as the running makespan exceeds the k-th best span
-	// seen so far (the candidate provably cannot enter the refine set), and
-	// per-degree derived quantities are memoized across configurations.
-	memo := newDegreeMemo(c)
+	// One reusable assignment scans every candidate; placement is aborted as
+	// soon as the running makespan exceeds the k-th best span seen so far
+	// (the candidate provably cannot enter the refine set), and per-group
+	// derived quantities are memoized across candidates.
+	memo := newGroupMemo(pr)
 	scan := newAssignmentShell(0)
 	prune := newTopkTracker(top)
-	tryConfig := func(degrees []int) {
+	tryPlacement := func(degrees []int, ranges []cluster.DeviceRange) {
 		abort := math.Inf(1)
 		// Homogeneous layouts are always fully evaluated: they enter the
 		// refine set regardless of rank.
 		if !homogeneous(degrees) {
 			abort = prune.threshold()
 		}
-		scan.reconfigure(c, degrees, memo)
+		scan.reconfigure(memo, degrees, ranges)
 		ok, span := scan.placeBounded(items, abort)
 		if !ok {
 			return
 		}
-		cands = append(cands, cand{degrees: append([]int(nil), degrees...), span: span})
+		cands = append(cands, cand{degrees: append([]int(nil), degrees...), ranges: ranges, span: span})
 		prune.offer(span)
 	}
+	tryConfig := func(degrees []int) { tryPlacement(degrees, nil) }
+	if !pr.Uniform() {
+		biases := placementBiases(memo)
+		seen := map[string]bool{}
+		tryConfig = func(degrees []int) {
+			for _, bias := range biases {
+				placed, err := cluster.PlaceGroupsScored(n, degrees, bias)
+				if err != nil {
+					continue
+				}
+				key := rangesKey(placed.Ranges)
+				if seen[key] {
+					continue
+				}
+				seen[key] = true
+				tryPlacement(degrees, placed.Ranges)
+			}
+		}
+	}
 
-	maxDeg := c.MaxDegree()
+	maxDeg := pr.Fleet.MaxDegree()
 	if n <= enumLimit {
 		enumeratePartitions(n, maxDeg, minDeg, tryConfig)
 	} else {
@@ -100,7 +127,15 @@ func (pl *Planner) planEnum(ctx context.Context, lens []int) (MicroPlan, error) 
 	best := MicroPlan{Time: math.Inf(1)}
 	gtMemo := newGroupTimeMemo()
 	for _, cd := range refineSet {
-		scan.reconfigure(c, cd.degrees, memo)
+		ranges := cd.ranges
+		if ranges == nil && pl.Places() {
+			placed, err := cluster.PlaceGroups(n, cd.degrees)
+			if err != nil {
+				return MicroPlan{}, err
+			}
+			ranges = placed.Ranges
+		}
+		scan.reconfigure(memo, cd.degrees, ranges)
 		if !scan.place(items) {
 			continue
 		}

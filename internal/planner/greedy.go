@@ -8,7 +8,9 @@ import (
 // against: each sequence goes to the smallest SP group that can handle it,
 // with no time balancing. Because short sequences dominate long-tail
 // corpora, small groups become the bottleneck (§1, "Time-Balanced Sequence
-// Assignment"). Kept as an ablation baseline.
+// Assignment"). Kept as an ablation baseline. It plans with Coeffs — on a
+// mixed fleet the class-oblivious bottleneck view, every device assumed as
+// slow and small as the worst class.
 func (pl *Planner) planGreedy(lens []int) (MicroPlan, error) {
 	if len(lens) == 0 {
 		return MicroPlan{}, nil
@@ -72,6 +74,20 @@ func (pl *Planner) planGreedy(lens []int) (MicroPlan, error) {
 		p.Groups = append(p.Groups, Group{Degree: g.degree, Lens: g.lens})
 	}
 	sort.SliceStable(p.Groups, func(i, j int) bool { return p.Groups[i].Degree > p.Groups[j].Degree })
-	p.recomputeTime(c)
+	if pl.Places() {
+		// Class-oblivious to the end: the groups land lowest-address-first
+		// and only then get priced by the classes they actually occupy —
+		// the behaviour the heterogeneous experiment measures the
+		// placement-aware planner against. Plans built on the bottleneck
+		// model always fit: every class has at least its memory.
+		_, ranges, err := p.Placement(n)
+		if err != nil {
+			return MicroPlan{}, err
+		}
+		for i := range p.Groups {
+			p.Groups[i].Range = ranges[i]
+		}
+	}
+	p.recomputeTime(pl.Pricing())
 	return p, nil
 }

@@ -2,7 +2,6 @@ package planner
 
 import (
 	"context"
-	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -10,26 +9,25 @@ import (
 	"flexsp/internal/cluster"
 	"flexsp/internal/costmodel"
 	"flexsp/internal/milp"
-	"flexsp/internal/obs"
 )
 
-// This file holds the heterogeneous-fleet strategies: the planner decides
-// not only each SP group's degree but which device-class region it lands on.
-// A group's cost depends on its placement (slowest-device compute pacing,
-// minimum-memory capacity, bottleneck bandwidth — costmodel.GroupCoeffs), so
-// degree multisets are evaluated under several placement biases: long
-// sequences gravitate to fast regions, token-heavy groups to large-memory
-// ones. On a single-class fleet every bias collapses to the lowest-address
-// placement and the results coincide with the homogeneous path.
+// This file holds what placing groups on a mixed fleet adds to planning: the
+// planner decides not only each SP group's degree but which device-class
+// region it lands on. A group's cost depends on its placement
+// (slowest-device compute pacing, minimum-memory capacity, bottleneck
+// bandwidth — costmodel.Pricing), so planEnum scans each degree multiset
+// under several placement biases — long sequences gravitate to fast
+// regions, token-heavy groups to large-memory ones — and the MILP chooses
+// among every aligned slot.
 
 // placementBiases are the slot-preference functions tried per degree
-// multiset: fastest-region-first (long sequences want FLOPS), largest-memory
-// first (token-heavy groups want headroom), and lowest-address (the
-// class-oblivious legacy order). Ties always break to the lowest address,
-// so on a uniform fleet all three coincide.
-func placementBiases(ec *costmodel.GroupEvaluator) []func(cluster.DeviceRange) float64 {
-	fast := func(r cluster.DeviceRange) float64 { return ec.Group(r).Topo.EffFLOPS }
-	roomy := func(r cluster.DeviceRange) float64 { return float64(ec.Group(r).Topo.UsableMemory()) }
+// multiset on a mixed fleet: fastest-region-first (long sequences want
+// FLOPS), largest-memory first (token-heavy groups want headroom), and
+// lowest-address (the class-oblivious order). Ties always break to the
+// lowest address.
+func placementBiases(memo *groupMemo) []func(cluster.DeviceRange) float64 {
+	fast := func(r cluster.DeviceRange) float64 { return memo.get(r.Size, r).c.Topo.EffFLOPS }
+	roomy := func(r cluster.DeviceRange) float64 { return float64(memo.get(r.Size, r).c.Topo.UsableMemory()) }
 	return []func(cluster.DeviceRange) float64{fast, roomy, nil}
 }
 
@@ -47,178 +45,10 @@ func rangesKey(ranges []cluster.DeviceRange) string {
 	return string(b)
 }
 
-// planPlacedEnum is the enumerative solver over placed groups: every degree
-// multiset is placed under each bias, assigned with cost-aware LPT against
-// the per-range coefficients, and the best configurations are refined with
-// the move/swap local search.
-func (pl *Planner) planPlacedEnum(ctx context.Context, lens []int) (MicroPlan, error) {
-	if len(lens) == 0 {
-		return MicroPlan{}, nil
-	}
-	span := obs.FromContext(ctx)
-	h := *pl.Hetero
-	n := h.Mixed.NumDevices()
-
-	maxLen := 0
-	for _, l := range lens {
-		if l > maxLen {
-			maxLen = l
-		}
-	}
-	minDeg := h.MinDegreeFor(maxLen)
-	if minDeg == 0 {
-		return MicroPlan{}, ErrInfeasible
-	}
-	items := itemsFromBuckets(pl.bucketize(lens))
-	ec := h.Evaluator()
-	biases := placementBiases(ec)
-
-	top := pl.refineTop
-	if top <= 0 {
-		top = 6
-	}
-
-	type cand struct {
-		evals []costmodel.GroupCoeffs
-		span  float64
-	}
-	var cands []cand
-	seen := map[string]bool{}
-	// One reusable assignment scans every placed candidate; non-homogeneous
-	// placements abort as soon as their running makespan exceeds the k-th
-	// best span seen so far (they provably cannot reach refinement).
-	scan := newAssignmentShell(0)
-	prune := newTopkTracker(top)
-	tryConfig := func(degrees []int) {
-		for _, bias := range biases {
-			placed, err := cluster.PlaceGroupsScored(n, degrees, bias)
-			if err != nil {
-				continue
-			}
-			key := rangesKey(placed.Ranges)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			evals := make([]costmodel.GroupCoeffs, len(placed.Ranges))
-			for i, r := range placed.Ranges {
-				evals[i] = ec.Group(r)
-			}
-			abort := math.Inf(1)
-			if !homogeneousEvals(evals) {
-				abort = prune.threshold()
-			}
-			scan.reconfigurePlaced(evals)
-			ok, span := scan.placeBounded(items, abort)
-			if !ok {
-				continue
-			}
-			cands = append(cands, cand{evals: evals, span: span})
-			prune.offer(span)
-		}
-	}
-
-	maxDeg := h.MaxDegree()
-	if n <= enumLimit {
-		enumeratePartitions(n, maxDeg, minDeg, tryConfig)
-	} else {
-		for _, cfg := range searchConfigs(n, minDeg, maxDeg) {
-			tryConfig(cfg)
-		}
-	}
-	span.SetAttr("candidates", len(cands))
-	if len(cands) == 0 {
-		return MicroPlan{}, ErrInfeasible
-	}
-
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].span < cands[j].span })
-	if top > len(cands) {
-		top = len(cands)
-	}
-	refineSet := append([]cand(nil), cands[:top]...)
-	for _, cd := range cands[top:] {
-		if homogeneousEvals(cd.evals) {
-			refineSet = append(refineSet, cd)
-		}
-	}
-	span.SetAttr("refined", len(refineSet))
-	best := MicroPlan{Time: math.Inf(1)}
-	gtMemo := newGroupTimeMemo()
-	for _, cd := range refineSet {
-		scan.reconfigurePlaced(cd.evals)
-		if !scan.place(items) {
-			continue
-		}
-		scan.refine(pl.refineIters())
-		if p := scan.plan(gtMemo); p.Time < best.Time {
-			best = p
-		}
-	}
-	if math.IsInf(best.Time, 1) {
-		return MicroPlan{}, ErrInfeasible
-	}
-	return best, nil
-}
-
-// homogeneousEvals reports whether all placed groups share one degree.
-func homogeneousEvals(evals []costmodel.GroupCoeffs) bool {
-	for _, e := range evals[1:] {
-		if e.Range.Size != evals[0].Range.Size {
-			return false
-		}
-	}
-	return true
-}
-
-// planPlacedGreedy is the naive baseline on a mixed fleet: it plans with the
-// class-oblivious bottleneck model (every device assumed as slow and small
-// as the worst class), places groups lowest-address-first, and only then
-// discovers what the placement actually costs — the behavior the
-// heterogeneous experiment measures the placement-aware planner against.
-func (pl *Planner) planPlacedGreedy(lens []int) (MicroPlan, error) {
-	p, err := pl.planGreedy(lens) // pl.Coeffs is the bottleneck view
-	if err != nil {
-		return MicroPlan{}, err
-	}
-	return pl.placeObliviously(p)
-}
-
-// placeObliviously attaches lowest-address device ranges to an unplaced plan
-// and re-times each group against the classes it actually landed on. Plans
-// built against the bottleneck model always fit: every real class has at
-// least the bottleneck's memory.
-func (pl *Planner) placeObliviously(p MicroPlan) (MicroPlan, error) {
-	h := *pl.Hetero
-	var degrees []int
-	for _, g := range p.Groups {
-		if len(g.Lens) > 0 {
-			degrees = append(degrees, g.Degree)
-		}
-	}
-	placed, err := cluster.PlaceGroups(h.Mixed.NumDevices(), degrees)
-	if err != nil {
-		return MicroPlan{}, err
-	}
-	gi := 0
-	p.Time = 0
-	for i := range p.Groups {
-		if len(p.Groups[i].Lens) == 0 {
-			continue
-		}
-		r := placed.Ranges[gi]
-		gi++
-		p.Groups[i].Range = r
-		if t := h.Group(r).GroupTime(p.Groups[i].Lens, p.Groups[i].Degree); t > p.Time {
-			p.Time = t
-		}
-	}
-	return p, nil
-}
-
 // planPlacedMILP solves the placed generalization of problem (17): one
 // binary selection variable per aligned slot of the fleet, so choosing a
 // group IS choosing its device-class region, with per-slot time and memory
-// coefficients from that region's GroupCoeffs. Overlap is excluded by
+// coefficients from that region's pricing. Overlap is excluded by
 // per-device packing constraints (aligned power-of-two slots overlap only by
 // containment, so each device's chain of ≤ log N slots gets one constraint).
 // Warm-started by the placed enumerative plan.
@@ -226,22 +56,22 @@ func (pl *Planner) planPlacedMILP(ctx context.Context, lens []int) (MicroPlan, e
 	if len(lens) == 0 {
 		return MicroPlan{}, nil
 	}
-	h := *pl.Hetero
-	n := h.Mixed.NumDevices()
+	pr := pl.Pricing()
+	n := pr.Fleet.Topo.NumDevices()
 	buckets := pl.bucketize(lens)
 	k := len(lens)
-	ec := h.Evaluator()
 
 	type slot struct {
 		r    cluster.DeviceRange
-		eval costmodel.GroupCoeffs
+		eval costmodel.Coeffs
 	}
 	var slots []slot
 	slotIdx := map[cluster.DeviceRange]int{}
-	for _, d := range h.SPDegrees() {
-		for _, r := range h.Mixed.AlignedSlots(d) {
+	for _, d := range pr.Fleet.SPDegrees() {
+		for start := 0; start+d <= n; start += d {
+			r := cluster.DeviceRange{Start: start, Size: d}
 			slotIdx[r] = len(slots)
-			slots = append(slots, slot{r: r, eval: ec.Group(r)})
+			slots = append(slots, slot{r: r, eval: pr.Group(r)})
 		}
 	}
 	p := len(slots)
@@ -319,7 +149,7 @@ func (pl *Planner) planPlacedMILP(ctx context.Context, lens []int) (MicroPlan, e
 	var incumbent []float64
 	var warmPlan MicroPlan
 	haveWarm := false
-	if warm, err := pl.planPlacedEnum(ctx, lens); err == nil {
+	if warm, err := pl.planEnum(ctx, lens); err == nil {
 		warmPlan, haveWarm = warm, true
 		x := make([]float64, m.NumVars())
 		bucketOf := func(l int) int {

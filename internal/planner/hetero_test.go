@@ -3,11 +3,14 @@ package planner
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
+	"flexsp/internal/blaster"
 	"flexsp/internal/cluster"
 	"flexsp/internal/costmodel"
+	"flexsp/internal/workload"
 )
 
 func mixedFleet(t *testing.T, a100, h100 int) costmodel.HeteroCoeffs {
@@ -37,35 +40,83 @@ func heteroBatch(seed int64, n int) []int {
 	return lens
 }
 
-// On a single-class fleet the placement-aware path must reproduce the legacy
-// homogeneous planner exactly: same makespan, same degree multiset.
-func TestHeterogeneousSingleClassPlanMatchesLegacy(t *testing.T) {
-	m, err := cluster.MixedCluster(cluster.ClassCount{Class: cluster.A100_40G, Devices: 16})
-	if err != nil {
-		t.Fatal(err)
+// sampledMicroBatches draws 64-sequence CommonCrawl, GitHub and Wikipedia
+// batches at 192K — each a systematic sample of an eight times larger draw:
+// sorted, every eighth length kept, shuffled — and blasts each at M_min to
+// M_min+2 under the given token capacity: the micro-batches an Alg. 1 solve
+// hands the planner.
+func sampledMicroBatches(t *testing.T, seed int64, capacity int) [][]int {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var out [][]int
+	for _, d := range []workload.Dataset{workload.CommonCrawl(), workload.GitHub(), workload.Wikipedia()} {
+		draw := d.Batch(rng, 8*64, 192<<10)
+		sort.Ints(draw)
+		batch := make([]int, 64)
+		for i := range batch {
+			batch[i] = draw[8*i+4]
+		}
+		rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+		mmin := blaster.MinMicroBatches(batch, capacity)
+		for m := mmin; m <= mmin+2; m++ {
+			micro, err := blaster.Blast(batch, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, micro...)
+		}
 	}
-	hc := costmodel.ProfileMixed(costmodel.GPT7B, m)
-	legacy := New(costmodel.Profile(costmodel.GPT7B, cluster.A100Cluster(16)))
-	placed := NewHetero(hc)
+	return out
+}
 
-	for _, seed := range []int64{1, 2, 4} {
-		batch := heteroBatch(seed, 16)
-		lp, err := legacy.Plan(batch)
+// On a single-class fleet the placement-aware planner must reproduce the
+// scalar planner exactly — same groups (degrees, lengths) and makespan —
+// and place every group on the lowest-address placement of the plan's
+// degrees. 56 devices is the single-class snapshot after one node_down.
+func TestHeterogeneousSingleClassPlanMatchesLegacy(t *testing.T) {
+	for _, n := range []int{64, 56} {
+		m, err := cluster.MixedCluster(cluster.ClassCount{Class: cluster.A100_40G, Devices: n})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pp, err := placed.Plan(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lp.Time != pp.Time {
-			t.Errorf("seed %d: placed time %.6f != legacy %.6f", seed, pp.Time, lp.Time)
-		}
-		if !reflect.DeepEqual(lp.Degrees(), pp.Degrees()) {
-			t.Errorf("seed %d: degrees %v != legacy %v", seed, pp.Degrees(), lp.Degrees())
-		}
-		if err := pp.ValidatePlaced(hc, batch); err != nil {
-			t.Errorf("seed %d: %v", seed, err)
+		hc := costmodel.ProfileMixed(costmodel.GPT7B, m)
+		c := costmodel.Profile(costmodel.GPT7B, cluster.A100Cluster(n))
+		legacy, placed := New(c), NewHetero(hc)
+		for i, lens := range sampledMicroBatches(t, int64(n), c.ClusterTokenCapacity()) {
+			lp, lerr := legacy.Plan(lens)
+			pp, perr := placed.Plan(lens)
+			if lerr != nil || perr != nil {
+				if lerr != perr {
+					t.Errorf("%d devices, micro %d: errors %v (legacy) vs %v (placed)", n, i, lerr, perr)
+				}
+				continue
+			}
+			if lp.Time != pp.Time || len(lp.Groups) != len(pp.Groups) {
+				t.Fatalf("%d devices, micro %d: placed plan %v (%.9g s) != legacy %v (%.9g s)",
+					n, i, pp.Groups, pp.Time, lp.Groups, lp.Time)
+			}
+			var degrees []int
+			for gi, g := range pp.Groups {
+				lg := lp.Groups[gi]
+				if g.Degree != lg.Degree || !reflect.DeepEqual(g.Lens, lg.Lens) {
+					t.Fatalf("%d devices, micro %d, group %d: placed %v %v != legacy %v %v",
+						n, i, gi, g.Degree, g.Lens, lg.Degree, lg.Lens)
+				}
+				if lg.Placed() {
+					t.Fatalf("%d devices, micro %d: legacy group %v carries range %v", n, i, lg, lg.Range)
+				}
+				degrees = append(degrees, g.Degree)
+			}
+			want, err := cluster.PlaceGroups(n, degrees)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for gi, g := range pp.Groups {
+				if g.Range != want.Ranges[gi] {
+					t.Fatalf("%d devices, micro %d, group %d: range %v, lowest-address placement %v",
+						n, i, gi, g.Range, want.Ranges[gi])
+				}
+			}
 		}
 	}
 }
@@ -78,7 +129,7 @@ func TestHeterogeneousPlanPlacedValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.ValidatePlaced(hc, batch); err != nil {
+	if err := p.Validate(hc.Pricing(), batch); err != nil {
 		t.Fatal(err)
 	}
 	for _, g := range p.Groups {
@@ -164,7 +215,7 @@ func TestHeterogeneousGreedyStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.ValidatePlaced(hc, batch); err != nil {
+	if err := p.Validate(hc.Pricing(), batch); err != nil {
 		t.Fatal(err)
 	}
 	enum, err := NewHetero(hc).Plan(batch)
@@ -186,7 +237,7 @@ func TestHeterogeneousMILPStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.ValidatePlaced(hc, batch); err != nil {
+	if err := p.Validate(hc.Pricing(), batch); err != nil {
 		t.Fatal(err)
 	}
 	// Warm-started by the placed enum plan, MILP must not be worse.
@@ -199,7 +250,7 @@ func TestHeterogeneousMILPStrategy(t *testing.T) {
 	}
 }
 
-// ValidatePlaced must reject malformed plans with errors, never panic — it
+// Validate must reject malformed placed plans with errors, never panic — it
 // is the gate callers use against untrusted plans.
 func TestHeterogeneousValidatePlacedRejectsWithoutPanic(t *testing.T) {
 	hc := mixedFleet(t, 8, 8)
@@ -209,6 +260,8 @@ func TestHeterogeneousValidatePlacedRejectsWithoutPanic(t *testing.T) {
 			{Degree: 4, Lens: lens, Range: cluster.DeviceRange{Start: 16, Size: 4}}}},
 		"unaligned": {Groups: []Group{
 			{Degree: 4, Lens: lens, Range: cluster.DeviceRange{Start: 6, Size: 4}}}},
+		"negative start": {Groups: []Group{
+			{Degree: 4, Lens: lens, Range: cluster.DeviceRange{Start: -4, Size: 4}}}},
 		"degree mismatch": {Groups: []Group{
 			{Degree: 8, Lens: lens, Range: cluster.DeviceRange{Start: 0, Size: 4}}}},
 		"unplaced": {Groups: []Group{{Degree: 4, Lens: lens}}},
@@ -217,7 +270,7 @@ func TestHeterogeneousValidatePlacedRejectsWithoutPanic(t *testing.T) {
 			{Degree: 4, Lens: nil, Range: cluster.DeviceRange{}},
 			{Degree: 4, Lens: []int{1 << 10}, Range: cluster.DeviceRange{Start: 0, Size: 4}}}},
 	} {
-		if err := p.ValidatePlaced(hc, lensOf(p)); err == nil {
+		if err := p.Validate(hc.Pricing(), lensOf(p)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

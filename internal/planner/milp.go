@@ -190,7 +190,7 @@ func (pl *Planner) planMILP(ctx context.Context, lens []int) (MicroPlan, error) 
 		plan.Groups = append(plan.Groups, Group{Degree: deg, Lens: glens})
 	}
 	sort.SliceStable(plan.Groups, func(i, j int) bool { return plan.Groups[i].Degree > plan.Groups[j].Degree })
-	plan.recomputeTime(c)
+	plan.recomputeTime(c.Pricing())
 	// Under a time budget or a relative gap the branch and bound may settle
 	// for a feasible-within-gap point; the enumerative warm start is a floor
 	// on plan quality, so never return anything worse than it.

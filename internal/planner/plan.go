@@ -32,10 +32,9 @@ import (
 type Group struct {
 	Degree int
 	Lens   []int
-	// Range is the group's placed device range on a heterogeneous fleet
-	// (Size == Degree). The zero value means "unplaced": homogeneous-cluster
-	// plans leave placement to the executor, whose devices are
-	// interchangeable.
+	// Range is the group's placed device range (Size == Degree), set by
+	// range-placing planners (NewHetero). The zero value means "unplaced":
+	// the executor places the group lowest-address-first.
 	Range cluster.DeviceRange
 }
 
@@ -90,25 +89,65 @@ func (p MicroPlan) DevicesUsed() int {
 	return n
 }
 
-// Validate checks plan invariants against the cost model and the micro-batch
-// it was built for: device budget, per-group memory, exact sequence coverage.
-func (p MicroPlan) Validate(c costmodel.Coeffs, lens []int) error {
-	if p.DevicesUsed() > c.Topo.NumDevices() {
-		return fmt.Errorf("planner: plan uses %d devices > %d", p.DevicesUsed(), c.Topo.NumDevices())
+// Placement returns the plan's non-empty groups and the device ranges they
+// run on among n devices: the groups' own ranges when the plan is placed —
+// checked to match their degrees and to be aligned, disjoint and in bounds —
+// or the lowest-address placement of their degrees when it is not. A plan
+// mixing placed and unplaced groups is rejected.
+func (p MicroPlan) Placement(n int) ([]Group, []cluster.DeviceRange, error) {
+	var groups []Group
+	var placement cluster.GroupPlacement
+	var degrees []int
+	for _, g := range p.Groups {
+		if len(g.Lens) == 0 {
+			continue
+		}
+		groups = append(groups, g)
+		degrees = append(degrees, g.Degree)
+		if g.Placed() {
+			if g.Range.Size != g.Degree {
+				return nil, nil, fmt.Errorf("planner: group %v range %v does not match its degree", g, g.Range)
+			}
+			placement.Ranges = append(placement.Ranges, g.Range)
+		}
+	}
+	switch len(placement.Ranges) {
+	case len(groups):
+		if err := placement.Validate(n); err != nil {
+			return nil, nil, fmt.Errorf("planner: invalid placement: %w", err)
+		}
+	case 0:
+		var err error
+		if placement, err = cluster.PlaceGroups(n, degrees); err != nil {
+			return nil, nil, fmt.Errorf("planner: placement failed: %w", err)
+		}
+	default:
+		return nil, nil, fmt.Errorf("planner: plan mixes placed and unplaced groups")
+	}
+	return groups, placement.Ranges, nil
+}
+
+// Validate checks the plan against the micro-batch it was built for and the
+// pricing of its fleet: every sequence placed exactly once, power-of-two
+// degrees within the device budget (see Placement; placed plans must place
+// every group on a valid range), and every group within the memory of the
+// devices it occupies. A mixed fleet, whose ranges price differently,
+// accepts only placed plans.
+func (p MicroPlan) Validate(pr costmodel.Pricing, lens []int) error {
+	groups, _, err := p.Placement(pr.Fleet.Topo.NumDevices())
+	if err != nil {
+		return err
 	}
 	want := map[int]int{}
 	for _, l := range lens {
 		want[l]++
 	}
-	for _, g := range p.Groups {
-		if len(g.Lens) == 0 {
-			continue
+	for _, g := range groups {
+		if !g.Placed() && !pr.Uniform() {
+			return fmt.Errorf("planner: group %v has no device range", g)
 		}
-		if !c.Topo.IsValidDegree(g.Degree) {
-			return fmt.Errorf("planner: invalid degree %d", g.Degree)
-		}
-		if !c.Fits(g.Lens, g.Degree) {
-			return fmt.Errorf("planner: group %v exceeds device memory", g)
+		if !pr.Group(g.Range).Fits(g.Lens, g.Degree) {
+			return fmt.Errorf("planner: group %v on %v exceeds device memory", g, g.Range)
 		}
 		for _, l := range g.Lens {
 			want[l]--
@@ -125,64 +164,11 @@ func (p MicroPlan) Validate(c costmodel.Coeffs, lens []int) error {
 	return nil
 }
 
-// ValidatePlaced checks a heterogeneous plan against the mixed fleet: every
-// group must carry an aligned device range matching its degree, ranges must
-// be disjoint and in bounds, each group must fit the memory of the classes
-// it actually spans, and the plan must cover the micro-batch exactly.
-func (p MicroPlan) ValidatePlaced(h costmodel.HeteroCoeffs, lens []int) error {
-	n := h.Mixed.NumDevices()
-	want := map[int]int{}
-	for _, l := range lens {
-		want[l]++
-	}
-	// Shape and bounds first: h.Group panics on malformed ranges, so every
-	// range must be proven in-bounds before the cost model sees it.
-	var placement cluster.GroupPlacement
-	for _, g := range p.Groups {
-		if len(g.Lens) == 0 {
-			continue
-		}
-		if !g.Placed() {
-			return fmt.Errorf("planner: group %v has no device range", g)
-		}
-		if g.Range.Size != g.Degree {
-			return fmt.Errorf("planner: group %v range %v does not match its degree", g, g.Range)
-		}
-		if !h.Mixed.IsValidDegree(g.Degree) {
-			return fmt.Errorf("planner: invalid degree %d", g.Degree)
-		}
-		placement.Ranges = append(placement.Ranges, g.Range)
-	}
-	if err := placement.Validate(n); err != nil {
-		return err
-	}
-	for _, g := range p.Groups {
-		if len(g.Lens) == 0 {
-			continue
-		}
-		if !h.Group(g.Range).Fits(g.Lens, g.Degree) {
-			return fmt.Errorf("planner: group %v exceeds memory of range %v", g, g.Range)
-		}
-		for _, l := range g.Lens {
-			want[l]--
-			if want[l] < 0 {
-				return fmt.Errorf("planner: unexpected sequence of length %d", l)
-			}
-		}
-	}
-	for l, c := range want {
-		if c != 0 {
-			return fmt.Errorf("planner: %d sequences of length %d unassigned", c, l)
-		}
-	}
-	return nil
-}
-
-// recomputeTime refreshes p.Time from the cost model.
-func (p *MicroPlan) recomputeTime(c costmodel.Coeffs) {
+// recomputeTime refreshes p.Time, pricing each group by its device range.
+func (p *MicroPlan) recomputeTime(pr costmodel.Pricing) {
 	p.Time = 0
 	for _, g := range p.Groups {
-		if t := g.Time(c); t > p.Time {
+		if t := g.Time(pr.Group(g.Range)); t > p.Time {
 			p.Time = t
 		}
 	}

@@ -11,16 +11,16 @@ import (
 
 // Planner solves the per-micro-batch parallelism problem.
 type Planner struct {
-	// Coeffs is the (model, cluster) cost model driving all decisions. On a
-	// heterogeneous fleet (Hetero non-nil) it holds the conservative
-	// bottleneck view consumed by hetero-unaware callers (plan caches,
-	// baselines); planning itself goes through Hetero.
+	// Coeffs is the whole-fleet cost model: the scalar coefficients, or on
+	// a heterogeneous fleet (Hetero non-nil) its conservative bottleneck
+	// view, which hetero-unaware callers (baselines) plan with.
 	Coeffs costmodel.Coeffs
-	// Hetero, when non-nil, plans over the mixed fleet with placed groups:
-	// the enumerative and MILP strategies decide each group's SP degree AND
-	// the device-class region it lands on, while StrategyGreedy — the
-	// ablation baseline the paper argues against — stays deliberately
-	// class-oblivious (bottleneck model, lowest-address placement).
+	// Hetero, when non-nil, prices each group by the device range it lands
+	// on and makes the planner attach ranges to its groups: the enumerative
+	// and MILP strategies decide each group's SP degree AND the
+	// device-class region it lands on, while StrategyGreedy — the ablation
+	// baseline the paper argues against — stays deliberately class-oblivious
+	// (bottleneck model, lowest-address placement).
 	Hetero *costmodel.HeteroCoeffs
 	// Strategy selects the algorithm (default StrategyEnum).
 	Strategy Strategy
@@ -50,10 +50,38 @@ func New(c costmodel.Coeffs) *Planner {
 	return &Planner{Coeffs: c, Q: bucket.DefaultQ}
 }
 
-// NewHetero returns a placement-aware Planner for a heterogeneous fleet.
-// Coeffs is set to the fleet's bottleneck view for hetero-unaware consumers.
+// NewHetero returns a placement-aware Planner for a heterogeneous fleet: its
+// plans carry a device range on every group, also when the fleet has a
+// single class. Coeffs is set to the fleet's bottleneck view.
 func NewHetero(h costmodel.HeteroCoeffs) *Planner {
 	return &Planner{Coeffs: h.Bottleneck(), Hetero: &h, Q: bucket.DefaultQ}
+}
+
+// Pricing is how the planner prices an SP group by its device range: per
+// range on a multi-class Hetero fleet, with Coeffs for every range
+// otherwise.
+func (pl *Planner) Pricing() costmodel.Pricing {
+	if pl.Hetero != nil {
+		return pl.Hetero.Pricing()
+	}
+	return pl.Coeffs.Pricing()
+}
+
+// Places reports whether the planner attaches a device range to every group
+// it plans (NewHetero planners do; scalar planners leave placement to the
+// executor).
+func (pl *Planner) Places() bool { return pl.Hetero != nil }
+
+// WithStyle returns a copy of the planner pricing groups under another
+// communication style.
+func (pl *Planner) WithStyle(s costmodel.CommStyle) *Planner {
+	cp := *pl
+	cp.Coeffs = pl.Coeffs.WithStyle(s)
+	if pl.Hetero != nil {
+		h := pl.Hetero.WithStyle(s)
+		cp.Hetero = &h
+	}
+	return &cp
 }
 
 func (pl *Planner) refineIters() int {
@@ -76,16 +104,13 @@ func (pl *Planner) effectiveQ() int {
 // TokenCapacity is the cluster's one-micro-batch activation token capacity
 // under this planner's cost model, used by Alg. 1 to derive M_min.
 func (pl *Planner) TokenCapacity() int {
-	if pl.Hetero != nil {
-		return pl.Hetero.ClusterTokenCapacity()
-	}
-	return pl.Coeffs.ClusterTokenCapacity()
+	return pl.Pricing().TokenCapacity()
 }
 
 // Plan computes the SP-group configuration and sequence assignment for one
 // micro-batch (paper §4.1). The returned plan's Time is the cost-model
-// estimate of the makespan. On a heterogeneous fleet the plan's groups also
-// carry their device ranges.
+// estimate of the makespan. A range-placing planner's groups also carry their
+// device ranges.
 func (pl *Planner) Plan(lens []int) (MicroPlan, error) {
 	return pl.PlanContext(context.Background(), lens)
 }
@@ -100,9 +125,7 @@ func (pl *Planner) PlanContext(ctx context.Context, lens []int) (MicroPlan, erro
 	defer span.End()
 	span.SetAttr("strategy", pl.Strategy.String())
 	span.SetAttr("seqs", len(lens))
-	if pl.Hetero != nil {
-		span.SetAttr("placed", true)
-	}
+	span.SetAttr("placed", pl.Places())
 	mp, err := pl.planDispatch(ctx, lens)
 	if err != nil {
 		span.SetError(err)
@@ -113,20 +136,15 @@ func (pl *Planner) PlanContext(ctx context.Context, lens []int) (MicroPlan, erro
 	return mp, err
 }
 
-// planDispatch routes to the strategy implementation.
+// planDispatch routes to the strategy implementation. The two MILP
+// formulations are different models (per-degree counts vs per-slot
+// binaries), so the MILP strategy picks one by whether the planner places.
 func (pl *Planner) planDispatch(ctx context.Context, lens []int) (MicroPlan, error) {
-	if pl.Hetero != nil {
-		switch pl.Strategy {
-		case StrategyMILP:
-			return pl.planPlacedMILP(ctx, lens)
-		case StrategyGreedy:
-			return pl.planPlacedGreedy(lens)
-		default:
-			return pl.planPlacedEnum(ctx, lens)
-		}
-	}
 	switch pl.Strategy {
 	case StrategyMILP:
+		if pl.Places() {
+			return pl.planPlacedMILP(ctx, lens)
+		}
 		return pl.planMILP(ctx, lens)
 	case StrategyGreedy:
 		return pl.planGreedy(lens)

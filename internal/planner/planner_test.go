@@ -36,7 +36,7 @@ func TestFig1HeterogeneousBeatsHomogeneous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := hetero.Validate(c, lens); err != nil {
+	if err := hetero.Validate(c.Pricing(), lens); err != nil {
 		t.Fatal(err)
 	}
 	homo, err := pl.PlanFixedDegree(lens, 32)
@@ -78,7 +78,7 @@ func TestPlanValidatesOnRealBatches(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", d.Name, err)
 		}
-		if err := p.Validate(c, lens); err != nil {
+		if err := p.Validate(c.Pricing(), lens); err != nil {
 			t.Fatalf("%s: %v", d.Name, err)
 		}
 		if p.Time <= 0 {
@@ -134,7 +134,7 @@ func TestEnumBeatsGreedyOnSkewedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := gp.Validate(c, lens); err != nil {
+	if err := gp.Validate(c.Pricing(), lens); err != nil {
 		t.Fatal(err)
 	}
 	if enum.Time > gp.Time {
@@ -161,7 +161,7 @@ func TestMILPPlanSmallCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mp.Validate(c, lens); err != nil {
+	if err := mp.Validate(c.Pricing(), lens); err != nil {
 		t.Fatal(err)
 	}
 	if mp.Time > ep.Time*1.01 {
@@ -182,7 +182,7 @@ func TestPlanDeviceBudgetRespected(t *testing.T) {
 		if p.DevicesUsed() > 64 {
 			t.Fatalf("plan uses %d devices", p.DevicesUsed())
 		}
-		if err := p.Validate(c, lens); err != nil {
+		if err := p.Validate(c.Pricing(), lens); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -251,7 +251,7 @@ func TestPlanLargeCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Validate(c, lens); err != nil {
+	if err := p.Validate(c.Pricing(), lens); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -285,22 +285,22 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 	c := coeffs(64)
 	lens := []int{1000, 2000}
 	good := MicroPlan{Groups: []Group{{Degree: 8, Lens: []int{1000, 2000}}}}
-	if err := good.Validate(c, lens); err != nil {
+	if err := good.Validate(c.Pricing(), lens); err != nil {
 		t.Fatal(err)
 	}
 	over := MicroPlan{Groups: []Group{
 		{Degree: 64, Lens: []int{1000}},
 		{Degree: 64, Lens: []int{2000}},
 	}}
-	if over.Validate(c, lens) == nil {
+	if over.Validate(c.Pricing(), lens) == nil {
 		t.Error("device oversubscription accepted")
 	}
 	missing := MicroPlan{Groups: []Group{{Degree: 8, Lens: []int{1000}}}}
-	if missing.Validate(c, lens) == nil {
+	if missing.Validate(c.Pricing(), lens) == nil {
 		t.Error("missing sequence accepted")
 	}
 	oom := MicroPlan{Groups: []Group{{Degree: 1, Lens: []int{1 << 20}}}}
-	if oom.Validate(c, []int{1 << 20}) == nil {
+	if oom.Validate(c.Pricing(), []int{1 << 20}) == nil {
 		t.Error("OOM group accepted")
 	}
 }

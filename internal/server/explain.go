@@ -81,18 +81,9 @@ type GroupExplainJSON struct {
 	Size  int `json:"size,omitempty"`
 }
 
-// groupCost picks the cost model a group is priced under: the placed range's
-// view on a heterogeneous fleet, the scalar model otherwise.
-func groupCost(pl *planner.Planner, g planner.Group) costmodel.GroupCost {
-	if pl.Hetero != nil && g.Placed() {
-		return pl.Hetero.Group(g.Range)
-	}
-	return pl.Coeffs
-}
-
-// explainGroup prices one group's cost terms.
-func explainGroup(pl *planner.Planner, g planner.Group) GroupExplainJSON {
-	c := groupCost(pl, g)
+// explainGroup prices one group's cost terms on the range it occupies.
+func explainGroup(pr costmodel.Pricing, g planner.Group) GroupExplainJSON {
+	c := pr.Group(g.Range)
 	out := GroupExplainJSON{
 		Degree:         g.Degree,
 		Seqs:           len(g.Lens),
@@ -120,13 +111,14 @@ func explainMicros(pl *planner.Planner, plans []planner.MicroPlan) []MicroExplai
 			critical = i
 		}
 	}
+	pr := pl.Pricing()
 	out := make([]MicroExplainJSON, len(plans))
 	for i, mp := range plans {
 		me := MicroExplainJSON{Index: i, Time: mp.Time, Degrees: mp.Degrees()}
 		if i == critical {
 			me.Groups = make([]GroupExplainJSON, 0, len(mp.Groups))
 			for _, g := range mp.Groups {
-				me.Groups = append(me.Groups, explainGroup(pl, g))
+				me.Groups = append(me.Groups, explainGroup(pr, g))
 			}
 			sort.SliceStable(me.Groups, func(a, b int) bool {
 				return me.Groups[a].TimeSeconds > me.Groups[b].TimeSeconds

@@ -114,7 +114,7 @@ func TestSolveMatchesInProcess(t *testing.T) {
 		t.Fatal("DecodePlans(EncodePlans(plans)) != plans")
 	}
 	for i, mp := range decoded {
-		if err := mp.Validate(testCoeffs(), planLens(res.Plans[i])); err != nil {
+		if err := mp.Validate(testCoeffs().Pricing(), planLens(res.Plans[i])); err != nil {
 			t.Fatalf("decoded plan %d invalid: %v", i, err)
 		}
 	}

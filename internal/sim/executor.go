@@ -94,8 +94,29 @@ func (r IterResult) AllToAllShare() float64 {
 // ErrOOM is returned when a plan exceeds device memory.
 var ErrOOM = fmt.Errorf("sim: plan exceeds device memory (OOM)")
 
-// ExecuteIteration replays the iteration's micro-batch plans.
+// ExecuteIteration replays the iteration's micro-batch plans with every
+// group priced by c.
 func ExecuteIteration(c costmodel.Coeffs, plans []planner.MicroPlan, opts Options) (IterResult, error) {
+	return ExecutePriced(c.Pricing(), plans, opts)
+}
+
+// ExecuteIterationHetero replays an iteration's micro-batch plans on a
+// heterogeneous fleet: each group is costed against the device classes of
+// the range it actually occupies, so a group landing on the H100 half runs
+// faster and a group squeezed onto 40-GB nodes hits its smaller memory
+// budget.
+func ExecuteIterationHetero(h costmodel.HeteroCoeffs, plans []planner.MicroPlan, opts Options) (IterResult, error) {
+	return ExecutePriced(h.Pricing(), plans, opts)
+}
+
+// ExecutePriced replays the iteration's micro-batch plans, pricing each group
+// by the device range it runs on. Plans whose groups carry ranges (a
+// range-placing planner's output) execute exactly where they were planned;
+// unplaced plans are placed lowest-address-first — on a mixed fleet the
+// class-oblivious behavior the heterogeneous experiment quantifies. The
+// exposed ZeRO-3 term spans the whole fleet, so it is priced on the
+// whole-fleet (bottleneck) view.
+func ExecutePriced(pr costmodel.Pricing, plans []planner.MicroPlan, opts Options) (IterResult, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	jitter := func() float64 {
 		if opts.Noise <= 0 {
@@ -104,35 +125,32 @@ func ExecuteIteration(c costmodel.Coeffs, plans []planner.MicroPlan, opts Option
 		return math.Exp(rng.NormFloat64() * opts.Noise)
 	}
 
+	n := pr.Fleet.Topo.NumDevices()
+	// Per-range coefficients are loop-invariant; profile each range once per
+	// iteration, not once per group occurrence.
+	ev := pr.Evaluator()
+	var zeroTime float64
+	if opts.IncludeZeRO {
+		zeroTime = pr.Fleet.ZeROTime()
+	}
 	var res IterResult
-	usable := float64(c.Topo.UsableMemory())
 	for _, mp := range plans {
 		var mr MicroResult
 
-		// Place the groups on devices and charge communicator creation.
-		degrees := make([]int, 0, len(mp.Groups))
-		for _, g := range mp.Groups {
-			if len(g.Lens) > 0 {
-				degrees = append(degrees, g.Degree)
-			}
-		}
-		placement, err := cluster.PlaceGroups(c.Topo.NumDevices(), degrees)
+		groups, ranges, err := mp.Placement(n)
 		if err != nil {
-			return res, fmt.Errorf("sim: placement failed: %w", err)
+			return res, fmt.Errorf("sim: %w", err)
 		}
 		if opts.Pool != nil {
-			for _, r := range placement.Ranges {
+			for _, r := range ranges {
 				mr.GroupCreation += opts.Pool.Acquire(r)
 			}
 		}
 
-		gi := 0
 		var slowest float64
 		var slowestComm, slowestComp float64
-		for _, g := range mp.Groups {
-			if len(g.Lens) == 0 {
-				continue
-			}
+		for gi, g := range groups {
+			c := ev.Group(ranges[gi])
 			comp := c.ComputeTime(g.Lens, g.Degree) * jitter()
 			comm := c.CommTime(g.Lens, g.Degree) * jitter()
 			mem := c.MemoryBytes(g.Lens, g.Degree)
@@ -143,10 +161,9 @@ func ExecuteIteration(c costmodel.Coeffs, plans []planner.MicroPlan, opts Option
 				Comp:    comp,
 				Comm:    comm,
 				Total:   comp + comm,
-				MemFrac: mem / usable,
-				Range:   placement.Ranges[gi],
+				MemFrac: mem / float64(c.Topo.UsableMemory()),
+				Range:   ranges[gi],
 			}
-			gi++
 			mr.Groups = append(mr.Groups, gr)
 			if gr.MemFrac > res.PeakMemFrac {
 				res.PeakMemFrac = gr.MemFrac
@@ -160,9 +177,7 @@ func ExecuteIteration(c costmodel.Coeffs, plans []planner.MicroPlan, opts Option
 				slowestComp = gr.Comp
 			}
 		}
-		if opts.IncludeZeRO {
-			mr.ZeRO = c.ZeROTime()
-		}
+		mr.ZeRO = zeroTime
 		mr.Time = slowest + mr.ZeRO + mr.GroupCreation
 		mr.CriticalComm = slowestComm
 		res.Micro = append(res.Micro, mr)

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"flexsp/internal/cluster"
@@ -20,38 +22,75 @@ func mixedModel(t *testing.T, a100, h100 int) costmodel.HeteroCoeffs {
 	return costmodel.ProfileMixed(costmodel.GPT7B, m)
 }
 
-// On an all-A100 fleet the heterogeneous executor must reproduce the legacy
-// executor exactly for unplaced plans.
+// longTail builds a deterministic long-tail micro-batch: mostly 1–4K
+// sequences with an occasional tail up to maxLen.
+func longTail(seed int64, n, maxLen int) []int {
+	rng := rand.New(rand.NewSource(seed))
+	lens := make([]int, n)
+	for i := range lens {
+		if rng.Intn(8) == 0 {
+			lens[i] = 8<<10 + rng.Intn(maxLen-8<<10)
+		} else {
+			lens[i] = 1<<10 + rng.Intn(3<<10)
+		}
+	}
+	return lens
+}
+
+// On single-class fleets the scalar and heterogeneous executors must agree
+// exactly — every group result, jitter draw and ZeRO charge — for unplaced
+// plans (hand-built, and the scalar planner's) and placed plans (the
+// placement-aware planner's) alike.
 func TestHeterogeneousExecutorSingleClassEquivalence(t *testing.T) {
-	m, err := cluster.MixedCluster(cluster.ClassCount{Class: cluster.A100_40G, Devices: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hc := costmodel.ProfileMixed(costmodel.GPT7B, m)
-	c := costmodel.Profile(costmodel.GPT7B, cluster.A100Cluster(16))
-	plans := []planner.MicroPlan{
-		{Groups: []planner.Group{
-			{Degree: 8, Lens: []int{20 << 10, 8 << 10}},
-			{Degree: 4, Lens: []int{6 << 10, 2 << 10}},
-			{Degree: 4, Lens: []int{4 << 10, 1 << 10}},
-		}},
-		{Groups: []planner.Group{
-			{Degree: 16, Lens: []int{40 << 10, 10 << 10}},
-		}},
-	}
-	opts := Options{IncludeZeRO: true}
-	legacy, err := ExecuteIteration(c, plans, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hetero, err := ExecuteIterationHetero(hc, plans, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Time != hetero.Time || legacy.AllToAll != hetero.AllToAll ||
-		legacy.Comp != hetero.Comp || legacy.PeakMemFrac != hetero.PeakMemFrac ||
-		legacy.ZeRO != hetero.ZeRO {
-		t.Fatalf("hetero executor diverges on single class:\nlegacy %+v\nhetero %+v", legacy, hetero)
+	for _, n := range []int{64, 56, 16} {
+		m, err := cluster.MixedCluster(cluster.ClassCount{Class: cluster.A100_40G, Devices: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hc := costmodel.ProfileMixed(costmodel.GPT7B, m)
+		c := costmodel.Profile(costmodel.GPT7B, cluster.A100Cluster(n))
+		handBuilt := []planner.MicroPlan{
+			{Groups: []planner.Group{
+				{Degree: 8, Lens: []int{20 << 10, 8 << 10}},
+				{Degree: 4, Lens: []int{6 << 10, 2 << 10}},
+				{Degree: 4, Lens: []int{4 << 10, 1 << 10}},
+			}},
+			{Groups: []planner.Group{
+				{Degree: 16, Lens: []int{40 << 10, 10 << 10}},
+			}},
+		}
+		maxLen := 8<<10 + n<<9
+		var unplaced, placed []planner.MicroPlan
+		for seed := int64(1); seed <= 3; seed++ {
+			lens := longTail(seed*int64(n), n/2, maxLen)
+			up, err := planner.New(c).Plan(lens)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pp, err := planner.NewHetero(hc).Plan(lens)
+			if err != nil {
+				t.Fatal(err)
+			}
+			unplaced, placed = append(unplaced, up), append(placed, pp)
+		}
+		for _, plans := range [][]planner.MicroPlan{handBuilt, unplaced, placed} {
+			for _, opts := range []Options{
+				{},
+				{IncludeZeRO: true},
+				{Noise: 0.1, Seed: 7},
+				{Noise: 0.1, Seed: 7, IncludeZeRO: true},
+			} {
+				scalar, serr := ExecuteIteration(c, plans, opts)
+				hetero, herr := ExecuteIterationHetero(hc, plans, opts)
+				if serr != nil || herr != nil {
+					t.Fatalf("%d devices %+v: errors %v (scalar) vs %v (hetero)", n, opts, serr, herr)
+				}
+				if !reflect.DeepEqual(scalar, hetero) {
+					t.Fatalf("%d devices %+v, placed=%v: executors diverge:\nscalar %+v\nhetero %+v",
+						n, opts, plans[0].Groups[0].Placed(), scalar, hetero)
+				}
+			}
+		}
 	}
 }
 

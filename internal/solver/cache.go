@@ -6,7 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"flexsp/internal/cluster"
+	"flexsp/internal/costmodel"
 	"flexsp/internal/planner"
 )
 
@@ -147,28 +147,14 @@ func SigsEqual(a, b []int32) bool {
 	return true
 }
 
-// PlanCost re-validates and re-times cached plans: the scalar Coeffs for
-// homogeneous clusters. When the value also implements PlacedPlanCost
-// (heterogeneous models), placed groups are priced by their device range so
-// cached and freshly-planned estimates stay comparable.
-type PlanCost interface {
-	GroupTime([]int, int) float64
-	Fits([]int, int) bool
-}
-
-// PlacedPlanCost prices a group by the device range it occupies.
-type PlacedPlanCost interface {
-	PlacedGroupTime(r cluster.DeviceRange, lens []int, degree int) float64
-	PlacedFits(r cluster.DeviceRange, lens []int, degree int) bool
-}
-
 // Get returns a cached plan re-targeted onto the exact lengths, if present.
 // The returned plan assigns the actual sequences following the cached plan's
 // group shape (k-th longest sequence goes where the cached k-th longest
-// went), then re-estimates its time.
-func (pc *PlanCache) Get(c PlanCost, lens []int) (planner.MicroPlan, bool) {
+// went), then re-validates and re-estimates it under pr, each group priced
+// by its device range like a fresh plan.
+func (pc *PlanCache) Get(pr costmodel.Pricing, lens []int) (planner.MicroPlan, bool) {
 	sig, key := pc.signature(lens)
-	return pc.getWithSig(c, lens, sig, key)
+	return pc.getWithSig(pr, lens, sig, key)
 }
 
 // getWithSig is Get with the signature precomputed (the solve hot path
@@ -176,7 +162,7 @@ func (pc *PlanCache) Get(c PlanCost, lens []int) (planner.MicroPlan, bool) {
 // counted once the retargeted plan is accepted: a lookup whose entry fails
 // re-validation behaves as a miss (the caller plans from scratch), so it
 // counts as one.
-func (pc *PlanCache) getWithSig(c PlanCost, lens []int, sig []int32, key uint64) (planner.MicroPlan, bool) {
+func (pc *PlanCache) getWithSig(pr costmodel.Pricing, lens []int, sig []int32, key uint64) (planner.MicroPlan, bool) {
 	sh := pc.shard(key)
 	sh.mu.Lock()
 	el, ok := sh.entries[key]
@@ -223,35 +209,20 @@ func (pc *PlanCache) getWithSig(c PlanCost, lens []int, sig []int32, key uint64)
 		at++
 	}
 	// Placement carries over: the cached plan's device ranges stay valid for
-	// the re-targeted lengths. With a PlacedPlanCost each placed group is
-	// checked and timed against its own range's classes, exactly like a
-	// fresh plan; otherwise the scalar model applies to every group.
-	placedCost, placedOK := c.(PlacedPlanCost)
-	fits := func(g planner.Group) bool {
-		if placedOK && g.Placed() {
-			return placedCost.PlacedFits(g.Range, g.Lens, g.Degree)
-		}
-		return c.Fits(g.Lens, g.Degree)
-	}
-	groupTime := func(g planner.Group) float64 {
-		if placedOK && g.Placed() {
-			return placedCost.PlacedGroupTime(g.Range, g.Lens, g.Degree)
-		}
-		return c.GroupTime(g.Lens, g.Degree)
-	}
+	// the re-targeted lengths, and each group is checked and timed against
+	// the range it occupies.
 	out.Groups = make([]planner.Group, 0, len(cached.Groups))
 	for gi, g := range cached.Groups {
 		ng := planner.Group{Degree: g.Degree, Lens: groupLens[gi], Range: g.Range}
-		if !fits(ng) {
+		c := pr.Group(ng.Range)
+		if !c.Fits(ng.Lens, ng.Degree) {
 			// Rounding edge case: the retarget is rejected and the caller
 			// plans from scratch, so this lookup was a miss.
 			pc.misses.Add(1)
 			return planner.MicroPlan{}, false
 		}
 		out.Groups = append(out.Groups, ng)
-	}
-	for _, g := range out.Groups {
-		if t := groupTime(g); t > out.Time {
+		if t := c.GroupTime(ng.Lens, ng.Degree); t > out.Time {
 			out.Time = t
 		}
 	}

@@ -24,11 +24,11 @@ func TestPlanCacheHitAndRetarget(t *testing.T) {
 
 	// Slightly perturbed lengths within the rounding granularity hit.
 	perturbed := []int{40<<10 - 100, 8<<10 - 3, 8<<10 - 50, 4<<10 - 7}
-	got, ok := cache.Get(c, perturbed)
+	got, ok := cache.Get(c.Pricing(), perturbed)
 	if !ok {
 		t.Fatal("expected cache hit for rounded-equal batch")
 	}
-	if err := got.Validate(c, perturbed); err != nil {
+	if err := got.Validate(c.Pricing(), perturbed); err != nil {
 		t.Fatalf("re-targeted plan invalid: %v", err)
 	}
 	if len(got.Degrees()) != len(p.Degrees()) {
@@ -36,7 +36,7 @@ func TestPlanCacheHitAndRetarget(t *testing.T) {
 	}
 
 	// A different multiset misses.
-	if _, ok := cache.Get(c, []int{100 << 10}); ok {
+	if _, ok := cache.Get(c.Pricing(), []int{100 << 10}); ok {
 		t.Fatal("unexpected hit")
 	}
 	hits, misses := cache.Stats()
@@ -69,14 +69,14 @@ func TestPlanCacheLRUOrder(t *testing.T) {
 	a, b, x := []int{1000}, []int{2000}, []int{3000}
 	cache.Put(a, planFor(a))
 	cache.Put(b, planFor(b))
-	if _, ok := cache.Get(c, a); !ok { // touch a: b becomes LRU
+	if _, ok := cache.Get(c.Pricing(), a); !ok { // touch a: b becomes LRU
 		t.Fatal("expected hit on a")
 	}
 	cache.Put(x, planFor(x)) // evicts b, not a
-	if _, ok := cache.Get(c, a); !ok {
+	if _, ok := cache.Get(c.Pricing(), a); !ok {
 		t.Fatal("a should have survived eviction (recently used)")
 	}
-	if _, ok := cache.Get(c, b); ok {
+	if _, ok := cache.Get(c.Pricing(), b); ok {
 		t.Fatal("b should have been evicted as least recently used")
 	}
 }
@@ -96,7 +96,7 @@ func TestPlanCacheShardedLimit(t *testing.T) {
 	}
 	// Recently inserted signatures must still resolve exactly.
 	lens := []int{1000 + 300*(4*limit-1)}
-	if _, ok := cache.Get(c, lens); !ok {
+	if _, ok := cache.Get(c.Pricing(), lens); !ok {
 		t.Fatal("most recent entry missing")
 	}
 	m := cache.Metrics()

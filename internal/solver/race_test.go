@@ -86,7 +86,7 @@ func TestServiceAndCacheConcurrency(t *testing.T) {
 			defer cwg.Done()
 			lens := pool[w%len(pool)][:16]
 			for i := 0; i < 50; i++ {
-				if p, ok := cache.Get(coeffs, lens); ok {
+				if p, ok := cache.Get(coeffs.Pricing(), lens); ok {
 					if len(p.Groups) == 0 {
 						t.Error("cached plan with no groups")
 						return

@@ -79,8 +79,7 @@ func (s *Solver) Resolve(ctx context.Context, batch []int, inc *Incumbent, old, 
 	if coldAt <= 0 {
 		coldAt = 0.5
 	}
-	h := s.Planner.Hetero
-	if inc == nil || h == nil || stats.ChangedFraction > coldAt || !placedIncumbent(inc) {
+	if inc == nil || !s.Planner.Places() || stats.ChangedFraction > coldAt || !placedIncumbent(inc) {
 		stats.Cold = true
 		span.SetAttr("tier", "cold")
 		res, ninc, err := s.SolveWarm(ctx, batch, nil)
@@ -93,7 +92,8 @@ func (s *Solver) Resolve(ctx context.Context, batch []int, inc *Incumbent, old, 
 	// Repair the incumbent's warm store entry by entry. Each entry is one
 	// micro-batch's plan and occupies the fleet on its own (micro-batches
 	// run sequentially), so repairs are independent.
-	ev := h.Evaluator()
+	pr := s.Planner.Pricing()
+	ev := pr.Evaluator()
 	repaired := newMicroStore()
 	inc.store.mu.Lock()
 	entries := make([]storeEntry, 0, len(inc.store.m))
@@ -102,7 +102,7 @@ func (s *Solver) Resolve(ctx context.Context, batch []int, inc *Incumbent, old, 
 	}
 	inc.store.mu.Unlock()
 	for _, e := range entries {
-		plan, rs, ok := repairPlan(*h, ev, old, new, e.plan, e.sig)
+		plan, rs, ok := repairPlan(pr, ev, old, new, e.plan, e.sig)
 		if !ok {
 			stats.DroppedPlans++
 			continue
@@ -193,7 +193,7 @@ type repairInfo struct {
 // cheapest free aligned slot, and groups that fit nowhere have their
 // sequences redistributed into surviving groups. Returns false when the
 // plan cannot be made valid (the caller re-plans that micro-batch).
-func repairPlan(h costmodel.HeteroCoeffs, ev *costmodel.GroupEvaluator, old, new cluster.Snapshot, mp planner.MicroPlan, sig []int32) (planner.MicroPlan, repairInfo, bool) {
+func repairPlan(pr costmodel.Pricing, ev *costmodel.GroupEvaluator, old, new cluster.Snapshot, mp planner.MicroPlan, sig []int32) (planner.MicroPlan, repairInfo, bool) {
 	var info repairInfo
 	n := new.NumDevices()
 	if n == 0 {
@@ -296,22 +296,22 @@ func repairPlan(h costmodel.HeteroCoeffs, ev *costmodel.GroupEvaluator, old, new
 	for i, v := range sig {
 		lens[i] = int(v)
 	}
-	if err := validateRepaired(h, out, lens); err != nil {
+	if err := validateRepaired(pr, out, lens); err != nil {
 		return planner.MicroPlan{}, info, false
 	}
 	return out, info, true
 }
 
 // validateRepaired double-checks a repaired plan with the planner's own
-// placed-plan validator; a repair bug must degrade to a re-plan, never to
-// an invalid plan in the warm store.
-func validateRepaired(h costmodel.HeteroCoeffs, mp planner.MicroPlan, lens []int) (err error) {
+// validator; a repair bug must degrade to a re-plan, never to an invalid
+// plan in the warm store.
+func validateRepaired(pr costmodel.Pricing, mp planner.MicroPlan, lens []int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("solver: repaired plan validation panicked: %v", r)
 		}
 	}()
-	return mp.ValidatePlaced(h, lens)
+	return mp.Validate(pr, lens)
 }
 
 // bestSlot scans the free aligned slots of the given size and returns the

@@ -200,13 +200,14 @@ func TestRepairPlanDropsUnrepairable(t *testing.T) {
 	}
 	snap1 := e.Snapshot()
 	_, h := mk(snap1)
-	ev := h.Evaluator()
+	pr := h.Pricing()
+	ev := pr.Evaluator()
 	// A 16-wide group cannot exist on an 8-device fleet, and its sequences
 	// cannot move: there is no other group.
 	mp := planner.MicroPlan{Groups: []planner.Group{{
 		Degree: 16, Lens: []int{8192, 4096}, Range: cluster.DeviceRange{Start: 0, Size: 16},
 	}}}
-	if _, _, ok := repairPlan(h, ev, snap0, snap1, mp, []int32{8192, 4096}); ok {
+	if _, _, ok := repairPlan(pr, ev, snap0, snap1, mp, []int32{8192, 4096}); ok {
 		t.Fatal("unrepairable plan repaired")
 	}
 }

@@ -24,8 +24,6 @@ import (
 	"time"
 
 	"flexsp/internal/blaster"
-	"flexsp/internal/cluster"
-	"flexsp/internal/costmodel"
 	"flexsp/internal/obs"
 	"flexsp/internal/planner"
 )
@@ -115,32 +113,6 @@ func (s *Solver) Metrics() SolverMetrics {
 // New returns a Solver with the paper's defaults.
 func New(pl *planner.Planner) *Solver {
 	return &Solver{Planner: pl, Trials: blaster.DefaultTrials, Sort: true, Parallel: true}
-}
-
-// cacheCost returns the model the plan cache re-validates and re-times
-// cached plans with: per-placement pricing on a mixed fleet (so cached and
-// freshly-planned estimates stay comparable inside one Alg. 1 run), the
-// scalar coefficients otherwise.
-func (s *Solver) cacheCost() PlanCost {
-	if s.Planner.Hetero != nil {
-		return heteroPlanCost{Coeffs: s.Planner.Coeffs, h: *s.Planner.Hetero}
-	}
-	return s.Planner.Coeffs
-}
-
-// heteroPlanCost prices cached plans on a mixed fleet: placed groups by
-// their device range, unplaced groups by the embedded bottleneck view.
-type heteroPlanCost struct {
-	costmodel.Coeffs
-	h costmodel.HeteroCoeffs
-}
-
-func (c heteroPlanCost) PlacedGroupTime(r cluster.DeviceRange, lens []int, degree int) float64 {
-	return c.h.Group(r).GroupTime(lens, degree)
-}
-
-func (c heteroPlanCost) PlacedFits(r cluster.DeviceRange, lens []int, degree int) bool {
-	return c.h.Group(r).Fits(lens, degree)
 }
 
 // Result is the outcome of solving one data batch.
@@ -466,7 +438,7 @@ func (s *Solver) planOne(ctx context.Context, flights *flightGroup, lens []int, 
 	}
 	if s.Cache != nil {
 		sig, key := s.Cache.signature(lens)
-		if p, ok := s.Cache.getWithSig(s.cacheCost(), lens, sig, key); ok {
+		if p, ok := s.Cache.getWithSig(s.Planner.Pricing(), lens, sig, key); ok {
 			span.SetAttr("tier", "cache-hit")
 			return record(p, nil)
 		}
@@ -475,7 +447,7 @@ func (s *Solver) planOne(ctx context.Context, flights *flightGroup, lens []int, 
 		f, leader := flights.start(key, sig)
 		if !leader {
 			<-f.done
-			if p, ok := s.Cache.getWithSig(s.cacheCost(), lens, sig, key); ok {
+			if p, ok := s.Cache.getWithSig(s.Planner.Pricing(), lens, sig, key); ok {
 				s.Cache.noteDedup()
 				s.stats.deduped.Add(1)
 				span.SetAttr("tier", "dedup")

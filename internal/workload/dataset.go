@@ -8,7 +8,7 @@
 //
 // Every FlexSP decision depends only on the multiset of sequence lengths in
 // a batch, so matching the distribution shape preserves all the behaviours
-// the evaluation observes (see DESIGN.md §1).
+// the evaluation observes.
 package workload
 
 import (

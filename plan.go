@@ -264,21 +264,7 @@ func (s *System) ringSolver() *solver.Solver {
 		return s.Solver
 	}
 	s.ringOnce.Do(func() {
-		var pl *planner.Planner
-		if s.Hetero != nil {
-			pl = planner.NewHetero(s.Hetero.WithStyle(costmodel.StyleRingCP))
-		} else {
-			pl = planner.New(s.Coeffs.WithStyle(costmodel.StyleRingCP))
-		}
-		pl.Strategy = s.cfg.Planner
-		sv := solver.New(pl)
-		if s.cfg.Trials > 0 {
-			sv.Trials = s.cfg.Trials
-		}
-		if s.includeZeRO {
-			sv.Overhead = pl.Coeffs.ZeROTime()
-		}
-		s.ring = sv
+		s.ring = s.newSolver(s.Planner.WithStyle(costmodel.StyleRingCP))
 	})
 	return s.ring
 }
