@@ -136,7 +136,8 @@ type ServeConfig struct {
 	TenantLimit int
 	// BatchWindow is how long the first request for a batch signature waits
 	// for identical requests to coalesce with before solving (default 2ms;
-	// negative disables the wait, leaving pure singleflight).
+	// negative disables the wait and, in effect, coalescing: a request
+	// arriving while an identical one solves opens its own pass).
 	BatchWindow time.Duration
 	// CacheEntries and CacheGranularity size the shared plan cache the
 	// server attaches when the system's solver has none yet (defaults 1024

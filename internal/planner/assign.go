@@ -49,14 +49,19 @@ func itemsFromBuckets(buckets []bucket.Bucket) []item {
 }
 
 // groupMemo caches what reconfigure derives per group — its coefficients,
-// token capacity and linear per-token communication factor — by degree and
-// device range, so the hundreds of candidate configurations one Plan call
-// scans derive each distinct group once. When every range prices alike the
-// range is ignored and the cache is per degree.
+// token capacity and linear per-token communication factor — so the
+// hundreds of candidate configurations one Plan call scans derive each
+// distinct group once: per degree when every range prices alike (or the
+// group is unplaced), per aligned slot on a mixed fleet.
 type groupMemo struct {
-	pr      costmodel.Pricing
-	uniform bool
-	m       map[uint64]*groupPrice // keyed by range start << 32 | degree
+	pr       costmodel.Pricing
+	uniform  bool
+	byDegree map[int]*groupPrice
+	// bySlot numbers a mixed fleet's aligned power-of-two slots like a
+	// binary heap over span, the smallest power of two covering the fleet:
+	// the size-d slot at start s is entry span/d + s/d.
+	bySlot []*groupPrice
+	span   int
 }
 
 type groupPrice struct {
@@ -66,22 +71,38 @@ type groupPrice struct {
 }
 
 func newGroupMemo(pr costmodel.Pricing) *groupMemo {
-	return &groupMemo{pr: pr, uniform: pr.Uniform(), m: make(map[uint64]*groupPrice)}
+	gm := &groupMemo{pr: pr, uniform: pr.Uniform(), byDegree: make(map[int]*groupPrice)}
+	if !gm.uniform {
+		gm.span = 1
+		for gm.span < pr.Fleet.Topo.NumDevices() {
+			gm.span *= 2
+		}
+		gm.bySlot = make([]*groupPrice, 2*gm.span)
+	}
+	return gm
 }
 
-// get prices a degree-d group on range r (the zero range when unplaced).
+// get prices a degree-d group on range r (the zero range when unplaced; on
+// a mixed fleet a placed group's range is an aligned slot of size d).
 func (gm *groupMemo) get(d int, r cluster.DeviceRange) *groupPrice {
-	key := uint64(d)
-	if !gm.uniform {
-		key |= uint64(r.Start) << 32
-	}
-	if gp, ok := gm.m[key]; ok {
+	if gm.uniform || r.Size == 0 {
+		gp := gm.byDegree[d]
+		if gp == nil {
+			gp = gm.price(d, r)
+			gm.byDegree[d] = gp
+		}
 		return gp
 	}
+	i := gm.span/d + r.Start/d
+	if gm.bySlot[i] == nil {
+		gm.bySlot[i] = gm.price(d, r)
+	}
+	return gm.bySlot[i]
+}
+
+func (gm *groupMemo) price(d int, r cluster.DeviceRange) *groupPrice {
 	c := gm.pr.Group(r)
-	gp := &groupPrice{c: c, capTokens: int64(c.MaxTokensPerGroup(d)), commPT: c.CommUnitTime(d)}
-	gm.m[key] = gp
-	return gp
+	return &groupPrice{c: c, capTokens: int64(c.MaxTokensPerGroup(d)), commPT: c.CommUnitTime(d)}
 }
 
 // assignment is the incremental state of placing items onto a fixed group

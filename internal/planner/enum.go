@@ -3,6 +3,7 @@ package planner
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 
 	"flexsp/internal/cluster"
@@ -74,25 +75,40 @@ func (pl *Planner) planEnum(ctx context.Context, lens []int) (MicroPlan, error) 
 		if !ok {
 			return
 		}
-		cands = append(cands, cand{degrees: append([]int(nil), degrees...), ranges: ranges, span: span})
+		cands = append(cands, cand{
+			degrees: append([]int(nil), degrees...),
+			ranges:  append([]cluster.DeviceRange(nil), ranges...),
+			span:    span,
+		})
 		prune.offer(span)
 	}
 	tryConfig := func(degrees []int) { tryPlacement(degrees, nil) }
 	if !pr.Uniform() {
+		// Each bias ranks the fleet's slots once per call; a configuration
+		// is placed from those rankings and scanned once per distinct range
+		// set. Different degree multisets never share a range set, so
+		// comparing one configuration's placements with each other is the
+		// whole deduplication.
 		biases := placementBiases(memo)
-		seen := map[string]bool{}
+		rankings := make([]*cluster.SlotRanking, len(biases))
+		for i, bias := range biases {
+			rankings[i] = cluster.RankSlots(n, bias)
+		}
+		bufs := make([][]cluster.DeviceRange, len(biases))
+		placed := make([][]cluster.DeviceRange, 0, len(biases))
+		at := make([]int, n)
 		tryConfig = func(degrees []int) {
-			for _, bias := range biases {
-				placed, err := cluster.PlaceGroupsScored(n, degrees, bias)
-				if err != nil {
+			placed = placed[:0]
+			for i, rk := range rankings {
+				ranges, err := rk.AppendPlace(bufs[i][:0], degrees)
+				bufs[i] = ranges
+				if err != nil || slices.ContainsFunc(placed, func(prev []cluster.DeviceRange) bool {
+					return sameRanges(prev, ranges, at)
+				}) {
 					continue
 				}
-				key := rangesKey(placed.Ranges)
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				tryPlacement(degrees, placed.Ranges)
+				placed = append(placed, ranges)
+				tryPlacement(degrees, ranges)
 			}
 		}
 	}
@@ -318,12 +334,19 @@ func seedConfigs(n, minDeg, maxDeg int) [][]int {
 
 // neighbours applies one split (d → d/2, d/2) or one merge (d, d → 2d) to
 // the configuration. The largest part never drops below minDeg nor grows
-// beyond maxDeg.
+// beyond maxDeg. Degrees are visited largest first, so the neighbours come
+// in a fixed order: searchConfigs stops at a size cap and planEnum breaks
+// span ties by scan order, so map order would leak into the plans.
 func neighbours(cfg []int, minDeg, maxDeg int) [][]int {
 	counts := map[int]int{}
+	var degrees []int
 	for _, d := range cfg {
+		if counts[d] == 0 {
+			degrees = append(degrees, d)
+		}
 		counts[d]++
 	}
+	sort.Sort(sort.Reverse(sort.IntSlice(degrees)))
 	var out [][]int
 	rebuild := func(m map[int]int) []int {
 		var r []int
@@ -335,7 +358,8 @@ func neighbours(cfg []int, minDeg, maxDeg int) [][]int {
 		sort.Sort(sort.Reverse(sort.IntSlice(r)))
 		return r
 	}
-	for d, k := range counts {
+	for _, d := range degrees {
+		k := counts[d]
 		if d > 1 && k > 0 {
 			m := cloneCounts(counts)
 			m[d]--

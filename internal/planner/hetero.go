@@ -3,7 +3,6 @@ package planner
 import (
 	"context"
 	"sort"
-	"strconv"
 	"time"
 
 	"flexsp/internal/cluster"
@@ -31,18 +30,25 @@ func placementBiases(memo *groupMemo) []func(cluster.DeviceRange) float64 {
 	return []func(cluster.DeviceRange) float64{fast, roomy, nil}
 }
 
-// rangesKey canonicalizes a placement for deduplication across biases.
-func rangesKey(ranges []cluster.DeviceRange) string {
-	s := append([]cluster.DeviceRange(nil), ranges...)
-	sort.Slice(s, func(i, j int) bool { return s[i].Start < s[j].Start })
-	b := make([]byte, 0, len(s)*6)
-	for _, r := range s {
-		b = strconv.AppendInt(b, int64(r.Start), 10)
-		b = append(b, ':')
-		b = strconv.AppendInt(b, int64(r.Size), 10)
-		b = append(b, ',')
+// sameRanges reports whether two placements occupy the same set of device
+// ranges. at is scratch with an entry per device, zero on entry and on
+// return. Each placement's ranges are disjoint, so a range is identified by
+// its start, and equal lengths plus containment mean equal sets.
+func sameRanges(a, b []cluster.DeviceRange, at []int) bool {
+	for _, r := range a {
+		at[r.Start] = r.Size
 	}
-	return string(b)
+	same := len(a) == len(b)
+	for _, r := range b {
+		if !same {
+			break
+		}
+		same = at[r.Start] == r.Size
+	}
+	for _, r := range a {
+		at[r.Start] = 0
+	}
+	return same
 }
 
 // planPlacedMILP solves the placed generalization of problem (17): one

@@ -45,7 +45,7 @@ func heteroBatch(seed int64, n int) []int {
 // sorted, every eighth length kept, shuffled — and blasts each at M_min to
 // M_min+2 under the given token capacity: the micro-batches an Alg. 1 solve
 // hands the planner.
-func sampledMicroBatches(t *testing.T, seed int64, capacity int) [][]int {
+func sampledMicroBatches(t testing.TB, seed int64, capacity int) [][]int {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	var out [][]int
@@ -300,5 +300,32 @@ func TestHeterogeneousPlanDoesNotMutateQ(t *testing.T) {
 	}
 	if legacy.Q != 0 {
 		t.Fatalf("PlanFixedDegree mutated Q to %d", legacy.Q)
+	}
+}
+
+// BenchmarkPlanPlacedStraggled times placed enumerative planning on 64
+// A100-40G with one node derated 1.5x, where ranges price differently and
+// every configuration is placed under each placement bias: the plans an
+// elastic daemon makes after a straggle event. Run it with -cpuprofile to
+// see how placed planning splits between placement and the LPT scan.
+func BenchmarkPlanPlacedStraggled(b *testing.B) {
+	m, err := cluster.MixedCluster(cluster.ClassCount{Class: cluster.A100_40G, Devices: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := cluster.NewElastic(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := e.Apply(cluster.Event{Kind: cluster.EventStraggle, Node: 2, Factor: 1.5}); err != nil {
+		b.Fatal(err)
+	}
+	pl := NewHetero(costmodel.ProfileMixed(costmodel.GPT7B, e.Snapshot().Mixed))
+	micro := sampledMicroBatches(b, 1, pl.TokenCapacity())
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		if _, err := pl.Plan(micro[i%len(micro)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

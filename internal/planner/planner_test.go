@@ -3,6 +3,7 @@ package planner
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -238,6 +239,41 @@ func TestSearchConfigsLargeN(t *testing.T) {
 		}
 		if maxP < 32 {
 			t.Fatalf("config %v lacks a group ≥ 32", cfg)
+		}
+	}
+}
+
+// Beyond enumLimit the configuration search must not depend on map
+// iteration order: its configurations, and so the plans that break span
+// ties by scan order, repeat exactly from call to call.
+func TestSearchConfigsDeterministic(t *testing.T) {
+	want := searchConfigs(128, 4, 128)
+	for i := 0; i < 20; i++ {
+		got := searchConfigs(128, 4, 128)
+		if reflect.DeepEqual(got, want) {
+			continue
+		}
+		for j := range got {
+			if j >= len(want) || !reflect.DeepEqual(got[j], want[j]) {
+				t.Fatalf("call %d: searchConfigs(128, 4, 128) differs from the first call at configuration %d", i, j)
+			}
+		}
+		t.Fatalf("call %d: searchConfigs(128, 4, 128) returned %d configurations, the first call %d", i, len(got), len(want))
+	}
+	pl := New(coeffs(128))
+	lens := []int{7391, 6168, 5608, 5212, 4647, 4298, 4080, 3809, 3683, 3490, 3358, 3224}
+	first, err := pl.Plan(lens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		p, err := pl.Plan(lens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(p, first) {
+			t.Fatalf("plan %d on 128 devices: %v (%.5f s), first plan %v (%.5f s)",
+				i, p.Groups, p.Time, first.Groups, first.Time)
 		}
 	}
 }

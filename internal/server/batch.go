@@ -60,8 +60,11 @@ func (j planJob) key() ([]int32, uint64) {
 // off by shutdown) stops at the next trial/micro-batch boundary instead of
 // burning planner workers on a response nobody reads.
 //
-// A window of zero degenerates to pure singleflight: no added latency, but
-// only requests overlapping an in-flight solve coalesce.
+// A window of zero adds no latency and in effect coalesces nothing: the
+// opener takes its pass out of the map before solving (see do), so only a
+// request arriving between those two steps joins it; one arriving mid-solve
+// opens a fresh pass — typically a plan-cache hit — rather than joining the
+// solve in flight.
 type batcher struct {
 	window time.Duration
 	// run executes one solver pass under the pass context and returns the

@@ -116,9 +116,10 @@ type Config struct {
 	TenantLimit int
 	// BatchWindow is how long the first request for a signature waits for
 	// compatible requests to coalesce with before solving. Zero takes the
-	// 2ms default; negative disables the wait, leaving pure singleflight
-	// (no added latency, but only requests overlapping an in-flight solve
-	// coalesce).
+	// 2ms default; negative disables the wait and, in effect, coalescing:
+	// a pass leaves the batcher before its solve starts, so a request
+	// arriving mid-solve opens a pass of its own (typically a plan-cache
+	// hit) instead of joining.
 	BatchWindow time.Duration
 	// TraceEntries bounds the ring of completed request traces behind
 	// GET /v2/trace/{id}. Zero takes the default 64; negative disables
