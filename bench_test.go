@@ -183,7 +183,7 @@ func BenchmarkJointPlanner(b *testing.B) {
 	batch := workload.CommonCrawl().Batch(rng, 256, 192<<10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.SolvePipelined(batch); err != nil {
+		if _, err := sys.Joint.Solve(batch); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -197,7 +197,7 @@ func BenchmarkSolver(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Solve(batch); err != nil {
+		if _, err := sys.Solver.Solve(batch); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -32,8 +32,8 @@ type Client struct {
 	// Retry opts this client into automatic retries: 429 refusals (the
 	// daemon's admission control asks the client to come back) retry on
 	// every method, and transport errors (connection reset, refused) retry
-	// only on idempotent requests — plan, solve, metrics, health, and
-	// stream open, never stream append/close, which may have reached the
+	// only on idempotent requests — plan, metrics, health, and stream
+	// open, never stream append/close, which may have reached the
 	// daemon. Nil (the default) never retries.
 	Retry *RetryPolicy
 }
@@ -240,29 +240,6 @@ func (c *Client) Plan(ctx context.Context, req PlanRequest) (server.PlanEnvelope
 	}
 	var out server.PlanEnvelope
 	err := c.post(ctx, "/v2/plan", req, &out, true)
-	return out, err
-}
-
-// Solve submits one batch of sequence lengths to POST /v1/solve and returns
-// the plan response; resp.Plans() yields planner micro-plans ready for
-// System.Execute.
-//
-// Deprecated: use Plan, the v2 endpoint; Solve remains as the v1 shim
-// client.
-func (c *Client) Solve(ctx context.Context, lengths []int) (server.SolveResponse, error) {
-	var out server.SolveResponse
-	err := c.post(ctx, "/v1/solve", server.SolveRequest{Lengths: lengths, Tenant: c.Tenant}, &out, true)
-	return out, err
-}
-
-// SolvePipelined submits one batch to POST /v1/solve/pipelined and returns
-// the joint PP×SP plan response.
-//
-// Deprecated: use Plan with Strategy "pipeline"; SolvePipelined remains as
-// the v1 shim client.
-func (c *Client) SolvePipelined(ctx context.Context, lengths []int) (server.PipelinedResponse, error) {
-	var out server.PipelinedResponse
-	err := c.post(ctx, "/v1/solve/pipelined", server.SolveRequest{Lengths: lengths, Tenant: c.Tenant}, &out, true)
 	return out, err
 }
 

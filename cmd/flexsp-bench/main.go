@@ -16,25 +16,14 @@
 //	flexsp-bench appendixE     # Appendix E: ring-attention flexible CP
 //	flexsp-bench pipeline      # hybrid PP×SP: joint planner vs flat FlexSP vs Megatron
 //	flexsp-bench heterogeneous # mixed A100/H100 fleet: placement-aware vs class-oblivious
-//	flexsp-bench solver        # solver hot path: Alg. 1 wall, planner wall per strategy, cache stats
-//	flexsp-bench serve         # flexsp-serve load bench: concurrent clients, throughput, tail latency
-//	flexsp-bench stream        # streaming ingestion: plan-after-close latency, speculative vs cold
-//	flexsp-bench elastic       # elastic fleet: warm vs cold replanning after node loss, chaos run
-//	flexsp-bench fleet         # fleet router: 3-replica scaling, replica kill, peer-cache rebalance
-//	flexsp-bench calibration   # cost-model calibration: self-fit closed loop, ±10% sensitivity
 //	flexsp-bench all           # everything above
 //
 // Flags: -quick shrinks batch sizes/iterations, -seed, -iters and -devices
 // override the experiment configuration; -cluster (e.g.
 // "mixed:32xA100,32xH100") picks the heterogeneous experiment's fleet. The
-// heterogeneous, solver, serve, stream, elastic and fleet experiments also
-// write their results as machine-readable JSON (default
-// BENCH_heterogeneous.json / BENCH_solver.json / BENCH_serve.json /
-// BENCH_stream.json / BENCH_elastic.json / BENCH_fleet.json /
-// BENCH_calibration.json, see -benchjson, -solverjson, -servejson,
-// -streamjson, -elasticjson, -fleetjson and -calibjson) so perf can be
-// tracked across commits. The serve experiment starts an in-process daemon by default;
-// -serveaddr points it at a running flexsp-serve instead.
+// heterogeneous experiment also writes its modelled numbers as JSON
+// (default BENCH_heterogeneous.json, see -benchjson), which CI regenerates
+// byte for byte. Measured performance lives in the perfbench module.
 // -cpuprofile writes a pprof CPU profile of the run; -memprofile writes a
 // heap profile at exit.
 package main
@@ -64,13 +53,6 @@ func run() int {
 	devices := flag.Int("devices", 0, "override the cluster size (multiple of 8, or < 8 for one node); the heterogeneous experiment splits it half A100, half H100")
 	clusterSpec := flag.String("cluster", "", "mixed-fleet spec for the heterogeneous experiment, e.g. mixed:32xA100,32xH100")
 	benchJSON := flag.String("benchjson", "BENCH_heterogeneous.json", "path for the heterogeneous experiment's JSON result (empty disables)")
-	solverJSON := flag.String("solverjson", "BENCH_solver.json", "path for the solver experiment's JSON result (empty disables)")
-	serveJSON := flag.String("servejson", "BENCH_serve.json", "path for the serve experiment's JSON result (empty disables)")
-	streamJSON := flag.String("streamjson", "BENCH_stream.json", "path for the stream experiment's JSON result (empty disables)")
-	elasticJSON := flag.String("elasticjson", "BENCH_elastic.json", "path for the elastic experiment's JSON result (empty disables)")
-	fleetJSON := flag.String("fleetjson", "BENCH_fleet.json", "path for the fleet experiment's JSON result (empty disables)")
-	calibJSON := flag.String("calibjson", "BENCH_calibration.json", "path for the calibration experiment's JSON result (empty disables)")
-	serveAddr := flag.String("serveaddr", "", "run the serve bench against this flexsp-serve URL (e.g. http://127.0.0.1:8080) instead of an in-process daemon")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Usage = usage
@@ -156,83 +138,10 @@ func run() int {
 			}
 			return r.Render()
 		},
-		"solver": func(c experiments.Config) string {
-			r := experiments.SolverBench(c)
-			if *solverJSON != "" {
-				if err := writeBenchJSON(*solverJSON, r); err != nil {
-					fmt.Fprintln(os.Stderr, "flexsp-bench:", err)
-					failed = true
-					return r.Render()
-				}
-				fmt.Printf("[wrote %s]\n", *solverJSON)
-			}
-			return r.Render()
-		},
-		"serve": func(c experiments.Config) string {
-			r := experiments.ServeBench(c, *serveAddr)
-			if *serveJSON != "" {
-				if err := writeBenchJSON(*serveJSON, r); err != nil {
-					fmt.Fprintln(os.Stderr, "flexsp-bench:", err)
-					failed = true
-					return r.Render()
-				}
-				fmt.Printf("[wrote %s]\n", *serveJSON)
-			}
-			return r.Render()
-		},
-		"stream": func(c experiments.Config) string {
-			r := experiments.StreamBench(c)
-			if *streamJSON != "" {
-				if err := writeBenchJSON(*streamJSON, r); err != nil {
-					fmt.Fprintln(os.Stderr, "flexsp-bench:", err)
-					failed = true
-					return r.Render()
-				}
-				fmt.Printf("[wrote %s]\n", *streamJSON)
-			}
-			return r.Render()
-		},
-		"elastic": func(c experiments.Config) string {
-			r := experiments.ElasticBench(c)
-			if *elasticJSON != "" {
-				if err := writeBenchJSON(*elasticJSON, r); err != nil {
-					fmt.Fprintln(os.Stderr, "flexsp-bench:", err)
-					failed = true
-					return r.Render()
-				}
-				fmt.Printf("[wrote %s]\n", *elasticJSON)
-			}
-			return r.Render()
-		},
-		"fleet": func(c experiments.Config) string {
-			r := experiments.FleetBench(c)
-			if *fleetJSON != "" {
-				if err := writeBenchJSON(*fleetJSON, r); err != nil {
-					fmt.Fprintln(os.Stderr, "flexsp-bench:", err)
-					failed = true
-					return r.Render()
-				}
-				fmt.Printf("[wrote %s]\n", *fleetJSON)
-			}
-			return r.Render()
-		},
-		"calibration": func(c experiments.Config) string {
-			r := experiments.CalibrationBench(c)
-			if *calibJSON != "" {
-				if err := writeBenchJSON(*calibJSON, r); err != nil {
-					fmt.Fprintln(os.Stderr, "flexsp-bench:", err)
-					failed = true
-					return r.Render()
-				}
-				fmt.Printf("[wrote %s]\n", *calibJSON)
-			}
-			return r.Render()
-		},
 	}
 	order := []string{"table5", "table1", "fig1", "fig2", "fig4", "table3fig5",
 		"fig6", "fig7", "fig8", "fig9", "table4", "appendixE", "pipeline",
-		"heterogeneous", "solver", "serve", "stream", "elastic", "fleet",
-		"calibration"}
+		"heterogeneous"}
 
 	run := func(name string) {
 		start := time.Now()
@@ -268,8 +177,8 @@ func writeBenchJSON(path string, r interface{}) error {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: flexsp-bench [-quick] [-seed N] [-iters N] [-devices N] [-cluster SPEC] [-serveaddr URL] [-cpuprofile FILE] [-memprofile FILE] <experiment>
+	fmt.Fprintln(os.Stderr, `usage: flexsp-bench [-quick] [-seed N] [-iters N] [-devices N] [-cluster SPEC] [-cpuprofile FILE] [-memprofile FILE] <experiment>
 
-experiments: table1 fig1 fig2 fig4 table3fig5 fig6 fig7 fig8 fig9 table4 table5 appendixE pipeline heterogeneous solver serve stream elastic fleet calibration all`)
+experiments: table1 fig1 fig2 fig4 table3fig5 fig6 fig7 fig8 fig9 table4 table5 appendixE pipeline heterogeneous all`)
 	flag.PrintDefaults()
 }

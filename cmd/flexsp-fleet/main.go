@@ -11,12 +11,10 @@
 //	  -replica b=http://127.0.0.1:8082 \
 //	  -replica c=http://127.0.0.1:8083
 //
-// Endpoints (the plan/solve wire protocol is the daemon's own, so flexsp
-// clients point at the router unchanged):
+// Endpoints (the plan wire protocol is the daemon's own, so flexsp clients
+// point at the router unchanged):
 //
 //	POST /v2/plan             routed by batch signature, with failover
-//	POST /v1/solve            v1 shim, same routing
-//	POST /v1/solve/pipelined  v1 shim, same routing
 //	POST /v2/topology         fan-out: the event batch reaches every replica
 //	GET  /v2/topology         per-replica live-fleet summaries
 //	GET  /v2/fleet            routing table: members, health, version
@@ -34,7 +32,8 @@
 // to healthy on the first good probe. Suspect replicas still route (with
 // failover standing by); down and drained ones do not.
 //
-// -max-attempts bounds how many replicas one request tries before 502;
+// -max-attempts bounds how many replicas one request tries before giving up
+// (429 when a reached replica was full, else 502);
 // -max-inflight spills a saturated home replica's keys to their next-ranked
 // replica; -no-peer-cache disables the two-tier cache probe.
 package main
@@ -86,7 +85,7 @@ func run() int {
 	flag.Var(&replicas, "replica", "replica as name=url (repeatable), e.g. -replica a=http://127.0.0.1:8081")
 	probeInterval := flag.Duration("probe-interval", 250*time.Millisecond, "health-probe period (negative disables the prober)")
 	downAfter := flag.Int("down-after", 3, "consecutive probe failures before a suspect replica is down")
-	maxAttempts := flag.Int("max-attempts", 3, "replicas one request tries before 502")
+	maxAttempts := flag.Int("max-attempts", 3, "replicas one request tries before giving up (429 if a reached replica was full, else 502)")
 	maxInflight := flag.Int("max-inflight", 0, "bounded-load threshold per replica (0 disables)")
 	noPeerCache := flag.Bool("no-peer-cache", false, "disable the peer envelope-cache probe for rebalanced signatures")
 	logLevel := flag.String("log-level", "info", "structured-log threshold: debug, info, warn, error")

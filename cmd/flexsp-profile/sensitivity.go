@@ -1,7 +1,9 @@
-package experiments
+package main
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 
 	"flexsp/internal/calib"
@@ -14,8 +16,8 @@ import (
 )
 
 // CalibrationBenchResult is the machine-readable calibration benchmark
-// (`flexsp-bench calibration` writes it as BENCH_calibration.json). It closes
-// two loops CI gates on: the self-fit — fitting a noise-free simulator sweep
+// (`flexsp-profile sensitivity -json` writes it as BENCH_calibration.json).
+// It closes two loops: the self-fit — fitting a noise-free simulator sweep
 // must reproduce the analytic coefficients the simulator runs on — and the
 // sensitivity sweep — how much plan quality degrades when each coefficient the
 // planner believes is off by ±10% from the truth.
@@ -27,7 +29,7 @@ type CalibrationBenchResult struct {
 	// Fit compares each fitted coefficient against its analytic value.
 	Fit []CoeffFit `json:"fit"`
 	// MaxRelErr is the worst per-coefficient relative error of the self-fit
-	// (the acceptance gate holds it under 0.05).
+	// (calib's TestSelfFit holds it under 0.05).
 	MaxRelErr float64 `json:"max_rel_err"`
 	// MinR2 is the smallest of the three fit R²s.
 	MinR2 float64 `json:"min_r2"`
@@ -85,28 +87,29 @@ var perturbable = []struct {
 }
 
 // CalibrationBench runs the closed-loop calibration experiment: a noise-free
-// self-fit of the GPT-7B/A100 coefficients against the simulator, then a
-// ±10% sensitivity sweep showing what each coefficient's miscalibration costs
-// in true plan quality.
-func CalibrationBench(cfg Config) CalibrationBenchResult {
-	g := calib.Grid{Model: costmodel.GPT7B, Class: cluster.A100_40G, Devices: cfg.Devices}
+// self-fit of the GPT-7B/A100 coefficients against the simulator on a fleet
+// of the given size, then a ±10% sensitivity sweep over one batch of
+// batchSize CommonCrawl sequences drawn from seed, showing what each
+// coefficient's miscalibration costs in true plan quality.
+func CalibrationBench(devices, batchSize int, seed int64) (CalibrationBenchResult, error) {
+	g := calib.Grid{Model: costmodel.GPT7B, Class: cluster.A100_40G, Devices: devices}
 	entry, err := g.Fit()
 	if err != nil {
-		panic(fmt.Sprintf("calibration bench: %v", err))
+		return CalibrationBenchResult{}, err
 	}
 	topo, err := g.Topology()
 	if err != nil {
-		panic(fmt.Sprintf("calibration bench: %v", err))
+		return CalibrationBenchResult{}, err
 	}
 	truth := costmodel.Profile(costmodel.GPT7B, topo)
 
 	res := CalibrationBenchResult{
 		Devices: topo.NumDevices(),
-		Seed:    cfg.Seed,
+		Seed:    seed,
 		Model:   costmodel.GPT7B.Name,
 		Class:   cluster.A100_40G.Name,
 		Samples: entry.Provenance.Samples,
-		MinR2: min3(entry.Provenance.ComputeR2,
+		MinR2: min(entry.Provenance.ComputeR2,
 			entry.Provenance.CommR2, entry.Provenance.MemR2),
 	}
 	for _, c := range []CoeffFit{
@@ -118,7 +121,7 @@ func CalibrationBench(cfg Config) CalibrationBenchResult {
 		{Name: "m_token_bytes", Analytic: truth.MTokenBytes, Fitted: entry.Coeffs.MTokenBytes},
 	} {
 		if c.Analytic != 0 {
-			c.RelErr = abs(c.Fitted-c.Analytic) / abs(c.Analytic)
+			c.RelErr = math.Abs(c.Fitted-c.Analytic) / math.Abs(c.Analytic)
 		}
 		if c.RelErr > res.MaxRelErr {
 			res.MaxRelErr = c.RelErr
@@ -127,11 +130,14 @@ func CalibrationBench(cfg Config) CalibrationBenchResult {
 	}
 
 	// Sensitivity: plan one batch believing each perturbed coefficient, then
-	// price the resulting plan under the truth.
-	batch := workload.CommonCrawl().Batch(cfg.rng(31), cfg.BatchSize, 192<<10)
+	// price the resulting plan under the truth. The draw matches the paper
+	// experiments' seeding (seed·7919 + salt), so a seed reproduces the
+	// checked-in table.
+	rng := rand.New(rand.NewSource(seed*7919 + 31))
+	batch := workload.CommonCrawl().Batch(rng, batchSize, 192<<10)
 	base, err := solver.New(planner.New(truth)).Solve(batch)
 	if err != nil {
-		panic(fmt.Sprintf("calibration bench (base solve): %v", err))
+		return CalibrationBenchResult{}, fmt.Errorf("base solve: %w", err)
 	}
 	baseTime := planTimeUnder(truth, base.Plans)
 	for _, p := range perturbable {
@@ -140,7 +146,7 @@ func CalibrationBench(cfg Config) CalibrationBenchResult {
 			p.apply(&c, p.get(truth)*factor)
 			r, err := solver.New(planner.New(c)).Solve(batch)
 			if err != nil {
-				panic(fmt.Sprintf("calibration bench (%s ×%.1f): %v", p.name, factor, err))
+				return CalibrationBenchResult{}, fmt.Errorf("solve with %s ×%.1f: %w", p.name, factor, err)
 			}
 			pt := SensitivityPoint{
 				Coeff:       p.name,
@@ -159,7 +165,7 @@ func CalibrationBench(cfg Config) CalibrationBenchResult {
 			res.Sensitivity = append(res.Sensitivity, pt)
 		}
 	}
-	return res
+	return res, nil
 }
 
 // planTimeUnder prices a micro-plan sequence under a cost model: the sum over
@@ -198,23 +204,6 @@ func samePlanShape(a, b []planner.MicroPlan) bool {
 		}
 	}
 	return true
-}
-
-func min3(a, b, c float64) float64 {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // Render formats the result as tables.

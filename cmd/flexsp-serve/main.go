@@ -20,8 +20,6 @@
 //	                          stragglers, rejoin); the daemon replans in the
 //	                          background, warm-started from the last solve
 //	GET  /v2/topology         live fleet summary: versions, degraded flag
-//	POST /v1/solve            v1 shim (flexsp strategy, flat body)
-//	POST /v1/solve/pipelined  v1 shim (pipeline strategy)
 //	GET  /v1/metrics          cache/dedup counters, queue depth, p50/p99
 //	GET  /metrics             the same counters as Prometheus text
 //	GET  /v2/trace            recent request trace IDs

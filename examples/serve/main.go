@@ -51,32 +51,32 @@ func main() {
 	// the placed plans back.
 	rng := rand.New(rand.NewSource(1))
 	batch := flexsp.CommonCrawl().Batch(rng, 128, 192<<10)
-	resp, err := client.Solve(ctx, batch)
+	env, err := client.Plan(ctx, flexsp.PlanRequest{Lengths: batch})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("daemon planned M=%d micro-batches, estimated %.2fs\n", resp.M, resp.EstTime)
+	fmt.Printf("daemon planned M=%d micro-batches, estimated %.2fs\n", env.Flat.M, env.EstTime)
 
 	// The wire plans convert straight back into executable micro-plans.
-	exec, err := sys.Execute(resp.Plans())
+	exec, err := sys.Execute(env.Plans())
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("executed: %.2fs end-to-end, %.1f%% All-to-All\n",
 		exec.Time, 100*exec.AllToAllShare())
 
-	// The versioned endpoint serves any registered strategy by name: the
-	// same daemon plans the DeepSpeed baseline on request.
-	env, err := client.Plan(ctx, flexsp.PlanRequest{
+	// The same endpoint serves any registered strategy by name: the daemon
+	// plans the DeepSpeed baseline on request.
+	ds, err := client.Plan(ctx, flexsp.PlanRequest{
 		Strategy: "deepspeed", Lengths: batch, MaxCtx: 192 << 10})
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("v2 %s envelope: version %d, estimated %.2fs, %d micro-plans\n",
-		env.Strategy, env.Version, env.EstTime, len(env.Plans()))
+		ds.Strategy, ds.Version, ds.EstTime, len(ds.Plans()))
 
 	// A second identical submission is served from the shared plan cache.
-	if _, err := client.Solve(ctx, batch); err != nil {
+	if _, err := client.Plan(ctx, flexsp.PlanRequest{Lengths: batch}); err != nil {
 		panic(err)
 	}
 	m, err := client.Metrics(ctx)

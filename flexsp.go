@@ -34,7 +34,6 @@ import (
 	"sync"
 	"time"
 
-	"flexsp/internal/baselines"
 	"flexsp/internal/calib"
 	"flexsp/internal/cluster"
 	"flexsp/internal/costmodel"
@@ -471,33 +470,6 @@ func (s *System) Train(ctx context.Context, iters int, opts PlanOptions, nextBat
 	return out, nil
 }
 
-// Solve runs the FlexSP solver (Alg. 1) on one data batch of sequence
-// lengths, returning the heterogeneous micro-batch plans.
-//
-// Deprecated: use Plan with the default strategy; Solve remains for v1
-// compatibility.
-func (s *System) Solve(batch []int) (solver.Result, error) {
-	return s.Solver.Solve(batch)
-}
-
-// SolvePipelined runs the joint PP×SP planner on one data batch.
-//
-// Deprecated: use Plan with PlanOptions{Strategy: StrategyPipeline}.
-func (s *System) SolvePipelined(batch []int) (pipeline.Result, error) {
-	return s.Joint.Solve(batch)
-}
-
-// ExecutePipelined replays a joint plan's 1F1B schedule on the simulated
-// cluster.
-//
-// Deprecated: use the Execute method of a pipeline-strategy Plan.
-func (s *System) ExecutePipelined(res pipeline.Result) (pipeline.ScheduleResult, error) {
-	return res.Pipe.Execute(res.Plans, pipeline.Options{
-		IncludeZeRO: s.includeZeRO,
-		Pool:        s.pool,
-	})
-}
-
 // NewService starts a disaggregated solver service (§5) over this system's
 // solver.
 func (s *System) NewService(workers int) *solver.Service {
@@ -506,12 +478,11 @@ func (s *System) NewService(workers int) *solver.Service {
 
 // NewServer builds the HTTP planning daemon (§5 as a standalone service)
 // over this system, configured by Config.Serve. It serves the versioned wire
-// protocol: POST /v2/plan dispatches every registered strategy by name, and
-// the v1 endpoints (/v1/solve, /v1/solve/pipelined) remain as byte-identical
-// shims. The returned server is an http.Handler; serve it with an
-// http.Server and call its Drain method before Shutdown for a graceful
-// SIGTERM. Creating the server attaches a shared plan cache to the system's
-// solver if it has none.
+// protocol: POST /v2/plan dispatches every registered strategy by name. The
+// returned server is an http.Handler; serve it with an http.Server and call
+// its Drain method before Shutdown for a graceful SIGTERM. Creating the
+// server attaches a shared plan cache to the system's solver if it has
+// none.
 func (s *System) NewServer() (*server.Server, error) {
 	sv, jp := s.Solver, s.Joint
 	var elastic *cluster.Elastic
@@ -554,7 +525,7 @@ func (s *System) NewServer() (*server.Server, error) {
 
 // serverStrategies exposes every registered strategy to POST /v2/plan,
 // except flexsp and pipeline: the server implements those natively on its
-// solver and joint planner (shared with the v1 shims).
+// solver and joint planner.
 func (s *System) serverStrategies() map[string]server.StrategyFunc {
 	out := make(map[string]server.StrategyFunc)
 	for _, name := range Strategies() {
@@ -576,29 +547,4 @@ func (s *System) serverStrategies() map[string]server.StrategyFunc {
 		}
 	}
 	return out
-}
-
-// DeepSpeedBaseline plans the batch as the static homogeneous DeepSpeed
-// baseline would for the given maximum context length.
-//
-// Deprecated: use Plan with PlanOptions{Strategy: StrategyDeepSpeed,
-// MaxCtx: maxCtx}.
-func (s *System) DeepSpeedBaseline(batch []int, maxCtx int) ([]planner.MicroPlan, error) {
-	return baselines.DeepSpeed(s.Coeffs, batch, maxCtx)
-}
-
-// BatchAdaBaseline plans the batch as FlexSP-BatchAda (best homogeneous SP
-// degree per batch).
-//
-// Deprecated: use Plan with PlanOptions{Strategy: StrategyBatchAda}.
-func (s *System) BatchAdaBaseline(batch []int) ([]planner.MicroPlan, error) {
-	return baselines.BatchAda(s.Coeffs, batch)
-}
-
-// MegatronBaseline costs the batch under the best Megatron-LM strategy.
-//
-// Deprecated: use Plan with PlanOptions{Strategy: StrategyMegatron,
-// MaxCtx: maxCtx}.
-func (s *System) MegatronBaseline(batch []int, maxCtx int) (baselines.MegatronResult, error) {
-	return baselines.Megatron(s.Coeffs, batch, maxCtx)
 }

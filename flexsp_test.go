@@ -359,45 +359,3 @@ func TestMustNewSystemPanics(t *testing.T) {
 	}()
 	MustNewSystem(Config{Cluster: "mixed:banana"})
 }
-
-// The deprecated v1 methods keep working on top of the same substrates.
-func TestLegacyV1Methods(t *testing.T) {
-	sys := MustNewSystem(Config{Devices: 32})
-	rng := rand.New(rand.NewSource(4))
-	batch := CommonCrawl().Batch(rng, 64, 64<<10)
-
-	res, err := sys.Solve(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Plans) == 0 || res.M < res.MMin {
-		t.Fatalf("legacy Solve result m=%d mMin=%d plans=%d", res.M, res.MMin, len(res.Plans))
-	}
-	exec, err := sys.Execute(res.Plans)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exec.Time <= 0 {
-		t.Fatalf("legacy Execute time %v", exec.Time)
-	}
-	jres, err := sys.SolvePipelined(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := sys.ExecutePipelined(jres)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sched.Time <= 0 {
-		t.Fatalf("legacy pipelined time %v", sched.Time)
-	}
-	if _, err := sys.DeepSpeedBaseline(batch, 64<<10); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.BatchAdaBaseline(batch); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.MegatronBaseline(batch, 64<<10); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -5,13 +5,11 @@
 // rather than run as a single hot process.
 //
 // The Router is an http.Handler speaking the same wire protocol as a lone
-// daemon, so clients (flexsp.Client, curl, the v1 shims) need no changes:
+// daemon, so clients (flexsp.Client, curl) need no changes:
 //
 //	POST /v2/plan             routed by consistent hash of the batch
 //	                          signature to the replica whose plan cache is
 //	                          already warm for it
-//	POST /v1/solve            v1 shim, same routing
-//	POST /v1/solve/pipelined  v1 shim, same routing
 //	POST /v2/topology         fan-out: the event batch reaches every replica
 //	GET  /v2/topology         per-replica live-fleet summaries
 //	GET  /v2/fleet            routing table: members, health states, version
@@ -125,9 +123,9 @@ type Config struct {
 	// suspect).
 	DownAfter int
 	// MaxAttempts bounds how many replicas one request tries before the
-	// router answers 502 (default 3, capped by the routable count). Plan
-	// requests are pure solves, so retrying them on another replica is
-	// safe.
+	// router gives up (default 3, capped by the routable count): it answers
+	// 429 when a replica it reached was full, else 502. Plan requests are
+	// pure solves, so retrying them on another replica is safe.
 	MaxAttempts int
 	// MaxInflight is the bounded-load threshold: while a key's home replica
 	// has this many router-proxied requests in flight, the key spills to
@@ -230,8 +228,6 @@ func New(cfg Config) (*Router, error) {
 		}
 	}
 	rt.mux.HandleFunc("POST /v2/plan", rt.handlePlanV2)
-	rt.mux.HandleFunc("POST /v1/solve", rt.handleSolveV1(solvePath))
-	rt.mux.HandleFunc("POST /v1/solve/pipelined", rt.handleSolveV1(pipelinedPath))
 	rt.mux.HandleFunc("POST /v2/topology", rt.handleTopology(http.MethodPost))
 	rt.mux.HandleFunc("GET /v2/topology", rt.handleTopology(http.MethodGet))
 	rt.mux.HandleFunc("GET /v2/fleet", rt.handleFleet)

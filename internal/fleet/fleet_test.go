@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -234,7 +235,7 @@ func TestDrainedDemotesToDown(t *testing.T) {
 
 // TestFleetChurn hammers an in-process 3-replica fleet with concurrent plan
 // requests while replicas join, drain, die and rejoin and the metrics and
-// admin endpoints are scraped — the -race companion to the fleet benchmark.
+// admin endpoints are scraped — a -race soak of routing, health and admin.
 // It asserts liveness, not per-request success: when the dust settles the
 // router must still route.
 func TestFleetChurn(t *testing.T) {
@@ -350,5 +351,149 @@ func TestFleetChurn(t *testing.T) {
 			t.Fatalf("fleet did not recover after churn: last status %d", status)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestReplicaKillUnderLoad hard-kills one of three replicas while concurrent
+// clients plan through the router. Failover must hide the loss: every
+// answer is a 200 carrying a full envelope, or a 429 when admission
+// control turned the request away — never a 502 or a broken response.
+func TestReplicaKillUnderLoad(t *testing.T) {
+	capacity := server.Config{QueueLimit: 2, TenantLimit: 64, BatchWindow: 5 * time.Millisecond}
+	names := []string{"a", "b", "c"}
+	members := make([]Replica, len(names))
+	servers := make([]*server.Server, len(names))
+	listeners := make([]*httptest.Server, len(names))
+	for i, n := range names {
+		servers[i], listeners[i] = newFleetReplica(t, capacity)
+		members[i] = Replica{Name: n, URL: listeners[i].URL}
+	}
+	_, router := newTestRouter(t, Config{
+		Replicas:      members,
+		ProbeInterval: 20 * time.Millisecond,
+		DownAfter:     2,
+		MaxInflight:   2,
+	})
+
+	pool := make([][]int, 12)
+	for i := range pool {
+		batch := make([]int, len(fleetTestBatch))
+		for j, l := range fleetTestBatch {
+			batch[j] = l + 512*i
+		}
+		pool[i] = batch
+		if status, body := postPlan(t, router.URL, batch); status != http.StatusOK {
+			t.Fatalf("warm-up %d: status %d: %s", i, status, body)
+		}
+	}
+
+	const clients, perClient = 6, 30
+	var done atomic.Int64
+	var kill sync.Once
+	errs := make(chan string, clients*perClient)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				req, _ := json.Marshal(server.PlanRequest{Lengths: pool[(c*perClient+i)%len(pool)]})
+				resp, err := http.Post(router.URL+"/v2/plan", "application/json", bytes.NewReader(req))
+				if err != nil {
+					errs <- err.Error()
+					continue
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				switch {
+				case err != nil:
+					errs <- fmt.Sprintf("status %d, reading body: %v", resp.StatusCode, err)
+				case resp.StatusCode == http.StatusOK:
+					var env server.PlanEnvelope
+					if err := json.Unmarshal(body, &env); err != nil || env.Flat == nil {
+						errs <- fmt.Sprintf("200 without a full envelope (%v): %s", err, body)
+					}
+				case resp.StatusCode != http.StatusTooManyRequests:
+					errs <- fmt.Sprintf("status %d: %s", resp.StatusCode, body)
+				}
+				if done.Add(1) == clients*perClient/2 {
+					kill.Do(func() {
+						listeners[2].CloseClientConnections()
+						listeners[2].Close()
+						servers[2].Close()
+					})
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
+// TestV1SolveRoutesGone pins the retirement of the /v1 planning routes: the
+// daemon and the router both answer them 404, while GET /v1/metrics stays.
+func TestV1SolveRoutesGone(t *testing.T) {
+	_, replica := newFleetReplica(t, server.Config{})
+	_, router := newTestRouter(t, Config{
+		Replicas:      []Replica{{Name: "a", URL: replica.URL}},
+		ProbeInterval: -1,
+	})
+	body, _ := json.Marshal(server.PlanRequest{Lengths: fleetTestBatch})
+	for _, base := range []string{replica.URL, router.URL} {
+		for _, path := range []string{"/v1/solve", "/v1/solve/pipelined"} {
+			resp, err := http.Post(base+path, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("POST %s%s = %d, want 404", base, path, resp.StatusCode)
+			}
+		}
+		resp, err := http.Get(base + "/v1/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s/v1/metrics = %d, want 200", base, resp.StatusCode)
+		}
+	}
+}
+
+// TestFullFleetAnswers429 pins the router's answer when the replicas that
+// respond are full and the rest are unreachable: a retryable 429, not a 502.
+// The key's home answers 429 and its only fallback refuses connections.
+func TestFullFleetAnswers429(t *testing.T) {
+	full := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusTooManyRequests)
+		w.Write([]byte(`{"error":"queue full"}` + "\n"))
+	}))
+	t.Cleanup(full.Close)
+	dead := httptest.NewServer(http.NotFoundHandler())
+	deadURL := dead.URL
+	dead.Close()
+
+	_, router := newTestRouter(t, Config{
+		Replicas:      []Replica{{Name: "a", URL: full.URL}, {Name: "b", URL: deadURL}},
+		ProbeInterval: -1,
+	})
+	// Find a batch whose key ranks the full replica first, so the dead one
+	// is the last attempt.
+	var batch []int
+	for i := 0; batch == nil; i++ {
+		cand := []int{1024 + 512*i, 2048}
+		if _, key := solver.Signature(cand); Rank(key, []string{"a", "b"})[0] == "a" {
+			batch = cand
+		}
+	}
+	if status, body := postPlan(t, router.URL, batch); status != http.StatusTooManyRequests {
+		t.Fatalf("status %d, want 429: %s", status, body)
 	}
 }

@@ -19,12 +19,8 @@ import (
 	"flexsp/internal/solver"
 )
 
-// The daemon paths the router proxies by batch signature.
-const (
-	planPath      = "/v2/plan"
-	solvePath     = "/v1/solve"
-	pipelinedPath = "/v1/solve/pipelined"
-)
+// planPath is the daemon path the router proxies by batch signature.
+const planPath = "/v2/plan"
 
 // maxBody caps proxied request bodies, matching the daemon's own limit.
 const maxBody = 32 << 20
@@ -58,28 +54,11 @@ func (rt *Router) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 	if err := json.Unmarshal(body, &req); err != nil {
 		// Malformed bodies still route (by a hash of the raw bytes) so the
 		// replica's decoder answers the authentic 400.
-		rt.route(w, r, planPath, body, rawKey(body), routeInfo{})
+		rt.route(w, r, body, rawKey(body), routeInfo{})
 		return
 	}
 	sig, sigKey := solver.Signature(req.Lengths)
-	rt.route(w, r, planPath, body, sigKey, routeInfo{plan: &req, sig: sig})
-}
-
-// handleSolveV1 routes the v1 shims by the same signature hash; the peer
-// tier does not apply (the envelope cache holds /v2/plan bodies only).
-func (rt *Router) handleSolveV1(path string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		body, ok := rt.readBody(w, r)
-		if !ok {
-			return
-		}
-		var req server.SolveRequest
-		key := rawKey(body)
-		if err := json.Unmarshal(body, &req); err == nil {
-			_, key = solver.Signature(req.Lengths)
-		}
-		rt.route(w, r, path, body, key, routeInfo{})
-	}
+	rt.route(w, r, body, sigKey, routeInfo{plan: &req, sig: sig})
 }
 
 // readBody slurps a bounded request body.
@@ -111,14 +90,14 @@ type routeInfo struct {
 // rendezvous score, probe the peer-cache tier when the key's home moved,
 // then proxy down the rank with bounded-load spill and failover. Each
 // request opens a fleet.route trace that lands in the router's ring.
-func (rt *Router) route(w http.ResponseWriter, r *http.Request, path string, body []byte, key uint64, info routeInfo) {
+func (rt *Router) route(w http.ResponseWriter, r *http.Request, body []byte, key uint64, info routeInfo) {
 	rt.met.requests.Inc()
 	start := time.Now()
 	defer func() { rt.met.routeSeconds.Observe(time.Since(start).Seconds()) }()
 
 	ctx, tr := obs.NewTrace(r.Context(), "fleet.route")
 	root := tr.Root()
-	root.SetAttr("path", path)
+	root.SetAttr("path", planPath)
 	root.SetAttr("sig", fmt.Sprintf("%016x", key))
 	w.Header().Set("X-Flexsp-Trace-Id", tr.ID())
 	defer func() {
@@ -189,12 +168,13 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, path string, bod
 	if attempts > len(cands) {
 		attempts = len(cands)
 	}
+	full := false
 	for i := 0; i < attempts; i++ {
 		m := cands[i]
 		last := i == attempts-1
 		_, span := obs.Start(ctx, "fleet.proxy")
 		span.SetAttr("replica", m.name)
-		done, status := rt.proxyOnce(ctx, w, r, m, path, body, key, info, names[0], last)
+		done, status := rt.proxyOnce(ctx, w, r, m, body, key, info, names[0], last)
 		span.SetAttr("status", status)
 		span.End()
 		if done {
@@ -206,9 +186,18 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, path string, bod
 		// from an unhealthy replica.
 		if status == http.StatusTooManyRequests {
 			rt.met.spills.Inc()
+			full = true
 		} else {
 			rt.met.failovers.Inc()
 		}
+	}
+	if full {
+		// Every replica that answered refused admission and the rest are
+		// unreachable: the fleet is full, not broken, so the client gets
+		// the retryable 429 a lone full daemon would send.
+		root.SetAttr("status", http.StatusTooManyRequests)
+		writeError(w, http.StatusTooManyRequests, "fleet: every reachable replica is full")
+		return
 	}
 	rt.met.errors.Inc()
 	root.SetAttr("status", http.StatusBadGateway)
@@ -226,11 +215,11 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, path string, bod
 // deliberately not recorded: the peer tier exists for rebalances (the home
 // itself moved), not for transient load detours, and recording detours
 // would route steady-state traffic through the envelope cache.
-func (rt *Router) proxyOnce(ctx context.Context, w http.ResponseWriter, r *http.Request, m *member, path string, body []byte, key uint64, info routeInfo, homeName string, last bool) (bool, int) {
+func (rt *Router) proxyOnce(ctx context.Context, w http.ResponseWriter, r *http.Request, m *member, body []byte, key uint64, info routeInfo, homeName string, last bool) (bool, int) {
 	m.inflight.Add(1)
 	defer m.inflight.Add(-1)
 
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, m.url+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, m.url+planPath, bytes.NewReader(body))
 	if err != nil {
 		return false, 0
 	}

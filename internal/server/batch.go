@@ -11,10 +11,8 @@ import (
 )
 
 // planJob identifies one batchable planning request: the length multiset
-// plus the strategy/maxCtx coordinates that change the resulting plan. The
-// v1 batchers run with a fixed strategy; the /v2/plan batcher carries the
-// request's strategy through, so only requests asking for the same plan
-// coalesce.
+// plus the strategy/maxCtx coordinates that change the resulting plan, so
+// only requests asking for the same plan coalesce.
 type planJob struct {
 	lens     []int
 	strategy string

@@ -34,7 +34,7 @@ func TestClientStatusErrorDecoding(t *testing.T) {
 
 	// A JSON error body is decoded into the StatusError message.
 	ts := errorServer(t, http.StatusTooManyRequests, `{"error":"queue full"}`)
-	_, err := flexsp.NewClient(ts.URL).Solve(ctx, []int{1024})
+	_, err := flexsp.NewClient(ts.URL).Plan(ctx, flexsp.PlanRequest{Lengths: []int{1024}})
 	var se *flexsp.StatusError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want *StatusError", err)
@@ -61,7 +61,7 @@ func TestClientStatusErrorDecoding(t *testing.T) {
 
 	// A non-JSON error body falls back to the HTTP status line.
 	ts3 := errorServer(t, http.StatusInternalServerError, "boom")
-	_, err = flexsp.NewClient(ts3.URL).Solve(ctx, []int{1024})
+	_, err = flexsp.NewClient(ts3.URL).Plan(ctx, flexsp.PlanRequest{Lengths: []int{1024}})
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want *StatusError", err)
 	}
@@ -72,7 +72,7 @@ func TestClientStatusErrorDecoding(t *testing.T) {
 
 func TestClientDecodeError(t *testing.T) {
 	ts := errorServer(t, http.StatusOK, "{not json")
-	_, err := flexsp.NewClient(ts.URL).Solve(context.Background(), []int{1024})
+	_, err := flexsp.NewClient(ts.URL).Plan(context.Background(), flexsp.PlanRequest{Lengths: []int{1024}})
 	if err == nil || !strings.Contains(err.Error(), "decoding response") {
 		t.Fatalf("err = %v, want a decoding error", err)
 	}
@@ -96,7 +96,7 @@ func TestClientContextCancellationMidRequest(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := flexsp.NewClient(ts.URL).Solve(ctx, []int{1024})
+		_, err := flexsp.NewClient(ts.URL).Plan(ctx, flexsp.PlanRequest{Lengths: []int{1024}})
 		done <- err
 	}()
 	<-started
@@ -133,7 +133,7 @@ func TestClientOverloadAgainstRealDaemon(t *testing.T) {
 	ctx := context.Background()
 	first := make(chan error, 1)
 	go func() {
-		_, err := client.Solve(ctx, []int{1024, 2048, 4096})
+		_, err := client.Plan(ctx, flexsp.PlanRequest{Lengths: []int{1024, 2048, 4096}})
 		first <- err
 	}()
 	// Wait until the first request holds the only admission slot.
@@ -157,7 +157,7 @@ func TestClientOverloadAgainstRealDaemon(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	_, err = client.Solve(ctx, []int{512, 768})
+	_, err = client.Plan(ctx, flexsp.PlanRequest{Lengths: []int{512, 768}})
 	var se *flexsp.StatusError
 	if !errors.As(err, &se) || !se.Overloaded() {
 		t.Fatalf("second request err = %v, want a retryable StatusError", err)

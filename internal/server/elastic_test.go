@@ -148,7 +148,7 @@ func TestTopologyApplyTriggersReplan(t *testing.T) {
 	s, ts, _ := newElasticServer(t, 2, Config{ReplanDebounce: time.Millisecond})
 
 	// Solve once so the replan has an incumbent to warm-start from.
-	resp, body := postSolve(t, ts.URL, SolveRequest{Lengths: testBatch})
+	resp, body := postPlan(t, ts.URL, PlanRequest{Lengths: testBatch})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve = %d: %s", resp.StatusCode, body)
 	}
@@ -173,15 +173,15 @@ func TestTopologyApplyTriggersReplan(t *testing.T) {
 
 	// The replanned daemon plans on the shrunk fleet: every group within 8
 	// devices.
-	resp3, body3 := postSolve(t, ts.URL, SolveRequest{Lengths: testBatch})
+	resp3, body3 := postPlan(t, ts.URL, PlanRequest{Lengths: testBatch})
 	if resp3.StatusCode != http.StatusOK {
 		t.Fatalf("solve after replan = %d: %s", resp3.StatusCode, body3)
 	}
-	var sr SolveResponse
-	if err := json.Unmarshal(body3, &sr); err != nil {
-		t.Fatal(err)
+	var env PlanEnvelope
+	if err := json.Unmarshal(body3, &env); err != nil || env.Flat == nil {
+		t.Fatalf("solve after replan: no flat section (%v): %s", err, body3)
 	}
-	for _, mp := range sr.Micro {
+	for _, mp := range env.Flat.Micro {
 		for _, g := range mp.Groups {
 			if g.Start+g.Size > 8 {
 				t.Fatalf("group %+v placed beyond the 8 live devices", g)
@@ -258,7 +258,7 @@ func TestElasticRaces(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				postSolve(t, ts.URL, SolveRequest{Lengths: otherBatch(w*10 + i)})
+				postPlan(t, ts.URL, PlanRequest{Lengths: otherBatch(w*10 + i)})
 			}
 		}(w)
 	}

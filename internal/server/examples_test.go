@@ -38,14 +38,14 @@ func Example() {
 
 	rng := rand.New(rand.NewSource(1))
 	batch := flexsp.CommonCrawl().Batch(rng, 16, 32<<10)
-	resp, err := client.Solve(ctx, batch)
+	env, err := client.Plan(ctx, flexsp.PlanRequest{Lengths: batch})
 	if err != nil {
 		panic(err)
 	}
-	exec, err := sys.Execute(resp.Plans())
+	exec, err := sys.Execute(env.Plans())
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(resp.M >= 1, exec.Time > 0)
+	fmt.Println(env.Flat.M >= 1, exec.Time > 0)
 	// Output: true true
 }

@@ -79,8 +79,8 @@ func TestMetricsJSONGolden(t *testing.T) {
 // match the JSON counters.
 func TestPrometheusEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	postSolve(t, ts.URL, SolveRequest{Lengths: testBatch})
-	postSolve(t, ts.URL, SolveRequest{Lengths: testBatch})
+	postPlan(t, ts.URL, PlanRequest{Lengths: testBatch})
+	postPlan(t, ts.URL, PlanRequest{Lengths: testBatch})
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -162,8 +162,8 @@ func TestPrometheusEndpoint(t *testing.T) {
 func TestTraceEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	body, _ := json.Marshal(SolveRequest{Lengths: testBatch})
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/solve", bytes.NewReader(body))
+	body, _ := json.Marshal(PlanRequest{Lengths: testBatch})
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v2/plan", bytes.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("X-Flexsp-Request-Id", "req-under-test")
 	resp, err := http.DefaultClient.Do(req)
@@ -257,7 +257,7 @@ func TestTraceEndpoints(t *testing.T) {
 // trace endpoints answer 501 and responses carry no trace ID.
 func TestTracingDisabled(t *testing.T) {
 	_, ts := newTestServer(t, Config{TraceEntries: -1})
-	resp, body := postSolve(t, ts.URL, SolveRequest{Lengths: testBatch})
+	resp, body := postPlan(t, ts.URL, PlanRequest{Lengths: testBatch})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -324,7 +324,7 @@ func TestMetricsScrapeRace(t *testing.T) {
 			wg.Add(1)
 			go func(s int) {
 				defer wg.Done()
-				resp, body := postSolve(t, ts.URL, SolveRequest{Lengths: otherBatch(s)})
+				resp, body := postPlan(t, ts.URL, PlanRequest{Lengths: otherBatch(s)})
 				if resp.StatusCode != http.StatusOK {
 					errs <- fmt.Sprintf("status %d: %s", resp.StatusCode, body)
 				}

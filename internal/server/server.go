@@ -11,9 +11,6 @@
 //	                          "explain"} → tagged plan envelope (version,
 //	                          strategy, flat | pipelined | megatron section,
 //	                          optional provenance)
-//	POST /v1/solve            v1 shim: the flexsp strategy, flat section
-//	                          only — byte-identical to the v1 protocol
-//	POST /v1/solve/pipelined  v1 shim: the pipeline strategy
 //	POST /v2/stream/open      open a streaming session → {"session", ...};
 //	                          sequences append incrementally and watermark
 //	                          crossings launch speculative background solves
@@ -87,21 +84,20 @@ type PlanSpec struct {
 // StrategyFunc produces one named strategy's tagged plan envelope for POST
 // /v2/plan. The facade registers its strategy registry here; the flexsp and
 // pipeline strategies are built in (they run on the server's own solver and
-// joint planner, shared with the v1 shims).
+// joint planner).
 type StrategyFunc func(ctx context.Context, spec PlanSpec) (PlanEnvelope, error)
 
 // Config configures a Server.
 type Config struct {
-	// Solver handles the flexsp strategy (and the /v1/solve shim);
-	// required. If it has no PlanCache one is attached (sized by
-	// CacheEntries/CacheGranularity), so repeated signatures always hit.
+	// Solver handles the flexsp strategy; required. If it has no PlanCache
+	// one is attached (sized by CacheEntries/CacheGranularity), so repeated
+	// signatures always hit.
 	Solver *solver.Solver
 	// CacheEntries and CacheGranularity size the plan cache attached when
 	// Solver arrives without one (defaults 1024 entries, 256-token
 	// rounding); they are ignored for a solver that already has a cache.
 	CacheEntries, CacheGranularity int
-	// Joint handles the pipeline strategy (and the /v1/solve/pipelined
-	// shim); nil answers those with 501.
+	// Joint handles the pipeline strategy; nil answers it with 501.
 	Joint *pipeline.Planner
 	// Strategies adds extra named strategies to POST /v2/plan (the facade
 	// passes its registry: deepspeed, batchada, megatron, plus any custom
@@ -174,9 +170,7 @@ type Config struct {
 type Server struct {
 	cfg        Config
 	mux        *http.ServeMux
-	solve      *batcher // /v1/solve shim passes
-	piped      *batcher // /v1/solve/pipelined shim passes
-	v2         *batcher // /v2/plan passes, keyed by (strategy, maxCtx, explain, lengths)
+	batch      *batcher // /v2/plan passes, keyed by (strategy, maxCtx, explain, lengths)
 	strategies map[string]StrategyFunc
 	start      time.Time
 	logger     *slog.Logger
@@ -295,29 +289,8 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.strategies[name] = fn
 	}
-	s.solve = newBatcher(cfg.BatchWindow, s.runV1Solve)
-	s.piped = newBatcher(cfg.BatchWindow, s.runV1Pipelined)
-	s.v2 = newBatcher(cfg.BatchWindow, s.runV2)
+	s.batch = newBatcher(cfg.BatchWindow, s.runV2)
 	s.mux.HandleFunc("POST /v2/plan", s.handlePlanV2)
-	s.mux.HandleFunc("POST /v1/solve", func(w http.ResponseWriter, r *http.Request) {
-		var req SolveRequest
-		if !decodeRequest(w, r, &req, &s.met) {
-			return
-		}
-		s.servePlan(w, r, s.solve, planJob{lens: req.Lengths, strategy: "flexsp"}, req.Tenant)
-	})
-	s.mux.HandleFunc("POST /v1/solve/pipelined", func(w http.ResponseWriter, r *http.Request) {
-		if s.cfg.Joint == nil {
-			s.met.errors.Add(1)
-			writeError(w, http.StatusNotImplemented, "pipelined planning not configured")
-			return
-		}
-		var req SolveRequest
-		if !decodeRequest(w, r, &req, &s.met) {
-			return
-		}
-		s.servePlan(w, r, s.piped, planJob{lens: req.Lengths, strategy: "pipeline"}, req.Tenant)
-	})
 	s.mux.HandleFunc("POST /v2/stream/open", s.handleStreamOpen)
 	s.mux.HandleFunc("POST /v2/stream/{id}/append", s.handleStreamAppend)
 	s.mux.HandleFunc("POST /v2/stream/{id}/close", s.handleStreamClose)
@@ -456,11 +429,10 @@ func (s *Server) Draining() bool {
 const statusClientGone = 499
 
 // planFlexSP is the built-in flexsp strategy: one solve on the current plan
-// state's solver, wrapped in the v2 envelope. The /v1/solve shim serves
-// exactly this envelope's flat section. On an elastic daemon the solve also
-// records its incumbent so the replan loop can repair it after topology
-// changes, and the envelope is flagged degraded while the plan state lags
-// the fleet.
+// state's solver, wrapped in the v2 envelope. On an elastic daemon the solve
+// also records its incumbent so the replan loop can repair it after
+// topology changes, and the envelope is flagged degraded while the plan
+// state lags the fleet.
 func (s *Server) planFlexSP(ctx context.Context, spec PlanSpec) (PlanEnvelope, error) {
 	st := s.planState()
 	var res solver.Result
@@ -498,7 +470,7 @@ func (s *Server) planFlexSP(ctx context.Context, spec PlanSpec) (PlanEnvelope, e
 }
 
 // planPipelined is the built-in pipeline strategy over the joint PP×SP
-// planner; the /v1/solve/pipelined shim serves its pipelined section.
+// planner.
 func (s *Server) planPipelined(ctx context.Context, spec PlanSpec) (PlanEnvelope, error) {
 	st := s.planState()
 	if st.joint == nil {
@@ -528,9 +500,11 @@ func (s *Server) planPipelined(ctx context.Context, spec PlanSpec) (PlanEnvelope
 	return env, nil
 }
 
-// runStrategy executes one strategy pass and encodes the body with the given
-// encoder (the full envelope for v2, a single section for the v1 shims).
-func (s *Server) runStrategy(ctx context.Context, job planJob, encode func(PlanEnvelope) []byte) ([]byte, int) {
+// runV2 is the /v2/plan pass: one strategy call, encoded as the full tagged
+// envelope. Successful passes also land in the envelope cache behind
+// GET /v2/cache/{sig}, so fleet peers can reuse this replica's plans after a
+// routing rebalance.
+func (s *Server) runV2(ctx context.Context, job planJob) ([]byte, int) {
 	s.met.solves.Add(1)
 	ctx, span := obs.Start(ctx, "server.pass")
 	defer span.End()
@@ -547,30 +521,9 @@ func (s *Server) runStrategy(ctx context.Context, job planJob, encode func(PlanE
 		return encodeJSON(ErrorResponse{Error: err.Error()}), http.StatusUnprocessableEntity
 	}
 	span.SetAttr("est_time", env.EstTime)
-	return encode(env), http.StatusOK
-}
-
-// runV1Solve is the /v1/solve shim's batcher pass: the flexsp strategy with
-// only the envelope's flat section encoded — byte-identical to the v1
-// protocol.
-func (s *Server) runV1Solve(ctx context.Context, job planJob) ([]byte, int) {
-	return s.runStrategy(ctx, job, func(env PlanEnvelope) []byte { return encodeJSON(*env.Flat) })
-}
-
-// runV1Pipelined is the /v1/solve/pipelined shim's pass.
-func (s *Server) runV1Pipelined(ctx context.Context, job planJob) ([]byte, int) {
-	return s.runStrategy(ctx, job, func(env PlanEnvelope) []byte { return encodeJSON(*env.Pipelined) })
-}
-
-// runV2 is the /v2/plan pass: the full tagged envelope. Successful passes
-// also land in the envelope cache behind GET /v2/cache/{sig}, so fleet peers
-// can reuse this replica's plans after a routing rebalance.
-func (s *Server) runV2(ctx context.Context, job planJob) ([]byte, int) {
-	body, code := s.runStrategy(ctx, job, func(env PlanEnvelope) []byte { return encodeJSON(env) })
-	if code == http.StatusOK {
-		s.storeEnvelope(job, body)
-	}
-	return body, code
+	body := encodeJSON(env)
+	s.storeEnvelope(job, body)
+	return body, http.StatusOK
 }
 
 // decodeRequest decodes a JSON request body with the shared size limit,
@@ -586,7 +539,7 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, out any, met *metrics
 }
 
 // handlePlanV2 serves POST /v2/plan: validate the strategy name against the
-// table, then admit, batch, and respond like the v1 routes.
+// table, then admit, batch, and respond.
 func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 	var req PlanRequest
 	if !decodeRequest(w, r, &req, &s.met) {
@@ -612,17 +565,17 @@ func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 			req.Strategy, strings.Join(s.StrategyNames(), ", ")))
 		return
 	}
-	s.servePlan(w, r, s.v2,
+	s.servePlan(w, r,
 		planJob{lens: req.Lengths, strategy: req.Strategy, maxCtx: req.MaxCtx, explain: req.Explain},
 		req.Tenant)
 }
 
-// servePlan is the shared plan route tail: validate lengths, admit, open the
+// servePlan is the plan route tail: validate lengths, admit, open the
 // request trace, batch, respond. The request ID (client-supplied
 // X-Flexsp-Request-Id or freshly minted) and the trace ID echo back as
 // response headers; the completed trace lands in the ring behind
 // GET /v2/trace/{id}.
-func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, b *batcher, job planJob, tenant string) {
+func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, job planJob, tenant string) {
 	for _, l := range job.lens {
 		if l <= 0 {
 			s.met.errors.Add(1)
@@ -661,7 +614,7 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, b *batcher, j
 	}
 
 	admitted := time.Now()
-	body, code, members, joined, err := b.do(ctx, job)
+	body, code, members, joined, err := s.batch.do(ctx, job)
 	elapsed := time.Since(admitted)
 	finish := func(code int) {
 		if tr != nil {

@@ -46,13 +46,15 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func postSolve(t *testing.T, url string, req SolveRequest) (*http.Response, []byte) {
+// postPlan posts one request to POST /v2/plan and returns the response with
+// its raw body.
+func postPlan(t *testing.T, url string, req PlanRequest) (*http.Response, []byte) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/v1/solve", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v2/plan", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,14 +81,18 @@ func otherBatch(salt int) []int {
 // HTTP are byte-identical to encoding an in-process Solve of the same batch.
 func TestSolveMatchesInProcess(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, body := postSolve(t, ts.URL, SolveRequest{Lengths: testBatch})
+	resp, body := postPlan(t, ts.URL, PlanRequest{Lengths: testBatch})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var got SolveResponse
-	if err := json.Unmarshal(body, &got); err != nil {
+	var env PlanEnvelope
+	if err := json.Unmarshal(body, &env); err != nil {
 		t.Fatal(err)
 	}
+	if env.Flat == nil {
+		t.Fatalf("envelope has no flat section: %s", body)
+	}
+	got := *env.Flat
 
 	res, err := testSolver().Solve(testBatch)
 	if err != nil {
@@ -141,7 +147,7 @@ func TestCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, body := postSolve(t, ts.URL, SolveRequest{Lengths: testBatch})
+			resp, body := postPlan(t, ts.URL, PlanRequest{Lengths: testBatch})
 			statuses[i], bodies[i] = resp.StatusCode, body
 		}(i)
 	}
@@ -173,12 +179,12 @@ func TestQueueOverflow(t *testing.T) {
 	srv, ts := newTestServer(t, Config{QueueLimit: 1, BatchWindow: 400 * time.Millisecond})
 	done := make(chan int, 1)
 	go func() {
-		resp, _ := postSolve(t, ts.URL, SolveRequest{Lengths: testBatch})
+		resp, _ := postPlan(t, ts.URL, PlanRequest{Lengths: testBatch})
 		done <- resp.StatusCode
 	}()
 	waitAdmitted(t, srv, 1)
 
-	resp, body := postSolve(t, ts.URL, SolveRequest{Lengths: otherBatch(0)})
+	resp, body := postPlan(t, ts.URL, PlanRequest{Lengths: otherBatch(0)})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429: %s", resp.StatusCode, body)
 	}
@@ -200,17 +206,17 @@ func TestTenantLimit(t *testing.T) {
 	srv, ts := newTestServer(t, Config{QueueLimit: 8, TenantLimit: 1, BatchWindow: 400 * time.Millisecond})
 	done := make(chan int, 1)
 	go func() {
-		resp, _ := postSolve(t, ts.URL, SolveRequest{Lengths: testBatch, Tenant: "a"})
+		resp, _ := postPlan(t, ts.URL, PlanRequest{Lengths: testBatch, Tenant: "a"})
 		done <- resp.StatusCode
 	}()
 	waitAdmitted(t, srv, 1)
 
-	resp, body := postSolve(t, ts.URL, SolveRequest{Lengths: otherBatch(1), Tenant: "a"})
+	resp, body := postPlan(t, ts.URL, PlanRequest{Lengths: otherBatch(1), Tenant: "a"})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("same-tenant status %d, want 429: %s", resp.StatusCode, body)
 	}
 	// A different tenant still gets in.
-	resp2, body2 := postSolve(t, ts.URL, SolveRequest{Lengths: otherBatch(2), Tenant: "b"})
+	resp2, body2 := postPlan(t, ts.URL, PlanRequest{Lengths: otherBatch(2), Tenant: "b"})
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("other-tenant status %d, want 200: %s", resp2.StatusCode, body2)
 	}
@@ -243,13 +249,13 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		resp, body := postSolve(t, ts.URL, SolveRequest{Lengths: testBatch})
+		resp, body := postPlan(t, ts.URL, PlanRequest{Lengths: testBatch})
 		done <- result{resp.StatusCode, body}
 	}()
 	waitAdmitted(t, srv, 1)
 	srv.Drain()
 
-	resp, body := postSolve(t, ts.URL, SolveRequest{Lengths: otherBatch(3)})
+	resp, body := postPlan(t, ts.URL, PlanRequest{Lengths: otherBatch(3)})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-drain solve status %d, want 503: %s", resp.StatusCode, body)
 	}
@@ -266,8 +272,8 @@ func TestGracefulDrain(t *testing.T) {
 	if r.status != http.StatusOK {
 		t.Fatalf("in-flight solve finished with %d, want 200: %s", r.status, r.body)
 	}
-	var got SolveResponse
-	if err := json.Unmarshal(r.body, &got); err != nil || len(got.Micro) == 0 {
+	var got PlanEnvelope
+	if err := json.Unmarshal(r.body, &got); err != nil || got.Flat == nil || len(got.Flat.Micro) == 0 {
 		t.Fatalf("in-flight solve returned incomplete body %q (%v)", r.body, err)
 	}
 }
@@ -284,7 +290,7 @@ func TestBatchWindowRace(t *testing.T) {
 			wg.Add(1)
 			go func(s int) {
 				defer wg.Done()
-				resp, body := postSolve(t, ts.URL, SolveRequest{Lengths: otherBatch(s)})
+				resp, body := postPlan(t, ts.URL, PlanRequest{Lengths: otherBatch(s)})
 				if resp.StatusCode != http.StatusOK {
 					errs <- fmt.Sprintf("status %d: %s", resp.StatusCode, body)
 				}
@@ -337,10 +343,10 @@ func TestPassCanceledWhenClientsGone(t *testing.T) {
 	// End to end: SolveContext's canceled counter moves when the sole HTTP
 	// client disconnects during its batching window.
 	srv, ts := newTestServer(t, Config{BatchWindow: -1})
-	reqBody, _ := json.Marshal(SolveRequest{Lengths: testBatch})
+	reqBody, _ := json.Marshal(PlanRequest{Lengths: testBatch})
 	cctx, ccancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer ccancel()
-	req, _ := http.NewRequestWithContext(cctx, http.MethodPost, ts.URL+"/v1/solve", bytes.NewReader(reqBody))
+	req, _ := http.NewRequestWithContext(cctx, http.MethodPost, ts.URL+"/v2/plan", bytes.NewReader(reqBody))
 	resp, err := http.DefaultClient.Do(req)
 	if err == nil {
 		resp.Body.Close() // the solve may win the race; that is fine too
@@ -354,23 +360,21 @@ func TestPassCanceledWhenClientsGone(t *testing.T) {
 	}
 }
 
-// TestPipelined pins the joint PP×SP route.
+// TestPipelined pins the joint PP×SP strategy.
 func TestPipelined(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	body, _ := json.Marshal(SolveRequest{Lengths: testBatch})
-	resp, err := http.Post(ts.URL+"/v1/solve/pipelined", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	out, _ := io.ReadAll(resp.Body)
+	resp, out := postPlan(t, ts.URL, PlanRequest{Strategy: "pipeline", Lengths: testBatch})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, out)
 	}
-	var got PipelinedResponse
-	if err := json.Unmarshal(out, &got); err != nil {
+	var env PlanEnvelope
+	if err := json.Unmarshal(out, &env); err != nil {
 		t.Fatal(err)
 	}
+	if env.Pipelined == nil {
+		t.Fatalf("envelope has no pipelined section: %s", out)
+	}
+	got := *env.Pipelined
 	if got.PP < 1 || len(got.Stages) != got.PP {
 		t.Fatalf("pp=%d stages=%d inconsistent", got.PP, len(got.Stages))
 	}
@@ -387,21 +391,16 @@ func TestPipelinedUnconfigured(t *testing.T) {
 	}
 	ts := httptest.NewServer(s)
 	defer ts.Close()
-	body, _ := json.Marshal(SolveRequest{Lengths: testBatch})
-	resp, err := http.Post(ts.URL+"/v1/solve/pipelined", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	resp, body := postPlan(t, ts.URL, PlanRequest{Strategy: "pipeline", Lengths: testBatch})
 	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("status %d, want 501", resp.StatusCode)
+		t.Fatalf("status %d, want 501: %s", resp.StatusCode, body)
 	}
 }
 
 // TestBadRequest pins input validation.
 func TestBadRequest(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader([]byte("{not json")))
+	resp, err := http.Post(ts.URL+"/v2/plan", "application/json", bytes.NewReader([]byte("{not json")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +408,7 @@ func TestBadRequest(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed JSON: status %d, want 400", resp.StatusCode)
 	}
-	resp2, body := postSolve(t, ts.URL, SolveRequest{Lengths: []int{1024, -5}})
+	resp2, body := postPlan(t, ts.URL, PlanRequest{Lengths: []int{1024, -5}})
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("negative length: status %d, want 400: %s", resp2.StatusCode, body)
 	}
@@ -418,8 +417,8 @@ func TestBadRequest(t *testing.T) {
 // TestMetricsEndpoint pins the /v1/metrics wire format.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	postSolve(t, ts.URL, SolveRequest{Lengths: testBatch})
-	postSolve(t, ts.URL, SolveRequest{Lengths: testBatch})
+	postPlan(t, ts.URL, PlanRequest{Lengths: testBatch})
+	postPlan(t, ts.URL, PlanRequest{Lengths: testBatch})
 
 	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {

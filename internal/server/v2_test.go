@@ -1,6 +1,6 @@
 // Versioned-wire-protocol coverage: POST /v2/plan across every registered
-// strategy, and the proof that the /v1 shims stay byte-identical to the
-// pre-redesign encoding.
+// strategy, and the proof that its flat section stays byte-identical to the
+// pre-redesign /v1 encoding.
 package server_test
 
 import (
@@ -139,10 +139,10 @@ func asStatus(err error, se **flexsp.StatusError) bool {
 	return ok
 }
 
-// TestV1ShimGoldenEncoding pins the pre-redesign /v1/solve encoding byte for
-// byte on a fixed solver result: if the shim (or the wire types it shares
-// with v2) ever changes the v1 schema, field order, or framing, this golden
-// string breaks.
+// TestV1ShimGoldenEncoding pins the flat section's encoding byte for byte on
+// a fixed solver result. The golden is the body the retired /v1/solve shim
+// served; the envelope's flat section keeps it, so a change to the schema,
+// field order, or framing of the shared wire types breaks this string.
 func TestV1ShimGoldenEncoding(t *testing.T) {
 	res := solver.Result{
 		M:         2,
@@ -162,20 +162,21 @@ func TestV1ShimGoldenEncoding(t *testing.T) {
 		`"micro":[{"time":2,"groups":[{"degree":8,"lengths":[4096,1024]}]},` +
 		`{"time":1.5,"groups":[{"degree":4,"lengths":[2048]}]}]}`
 	if string(got) != want {
-		t.Fatalf("v1 encoding changed:\n got %s\nwant %s", got, want)
+		t.Fatalf("flat section encoding changed:\n got %s\nwant %s", got, want)
 	}
 }
 
-// TestV1ShimByteIdentity proves the live /v1/solve response is still exactly
-// a SolveResponse — no envelope wrapping, no added or renamed fields, the
-// trailing-newline framing intact — and that its plans match both an
-// in-process solve and the v2 flat section for the same batch.
+// TestV1ShimByteIdentity proves a live /v2/plan body is exactly a
+// PlanEnvelope encoding — no added or renamed fields, the trailing-newline
+// framing intact — whose flat section is exactly a SolveResponse (the body
+// the retired /v1/solve shim served), and that its plans match an in-process
+// solve of the same batch.
 func TestV1ShimByteIdentity(t *testing.T) {
 	sys, ts := v2TestServer(t)
 	batch := v2Batch()
 
-	body, _ := json.Marshal(server.SolveRequest{Lengths: batch})
-	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
+	body, _ := json.Marshal(server.PlanRequest{Lengths: batch})
+	resp, err := http.Post(ts.URL+"/v2/plan", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,21 +189,37 @@ func TestV1ShimByteIdentity(t *testing.T) {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
 	}
 
-	// Round-trip byte identity: decoding into the v1 struct and re-encoding
-	// with the v1 framing must reproduce the response exactly. Any field the
-	// struct does not carry (e.g. an envelope tag) would be dropped here and
+	// Round-trip byte identity: decoding into the wire structs and
+	// re-encoding with the daemon's framing must reproduce the response
+	// exactly. Any field a struct does not carry would be dropped here and
 	// the bytes would differ.
-	var v1 server.SolveResponse
-	if err := json.Unmarshal(raw, &v1); err != nil {
+	var env server.PlanEnvelope
+	if err := json.Unmarshal(raw, &env); err != nil {
 		t.Fatal(err)
 	}
-	reenc, err := json.Marshal(v1)
+	if env.Flat == nil {
+		t.Fatalf("no flat section: %s", raw)
+	}
+	reenc, err := json.Marshal(env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reenc = append(reenc, '\n')
 	if !bytes.Equal(raw, reenc) {
-		t.Fatalf("/v1/solve body is not a pure SolveResponse encoding:\n got %s\nwant %s", raw, reenc)
+		t.Fatalf("/v2/plan body is not a pure PlanEnvelope encoding:\n got %s\nwant %s", raw, reenc)
+	}
+	var sections struct {
+		Flat json.RawMessage `json:"flat"`
+	}
+	if err := json.Unmarshal(raw, &sections); err != nil {
+		t.Fatal(err)
+	}
+	flat, err := json.Marshal(*env.Flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sections.Flat, flat) {
+		t.Fatalf("flat section is not a pure SolveResponse encoding:\n got %s\nwant %s", sections.Flat, flat)
 	}
 
 	// The served plans are the same plans an in-process solve yields.
@@ -211,19 +228,9 @@ func TestV1ShimByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantMicro, _ := json.Marshal(server.EncodePlans(res.Plans))
-	gotMicro, _ := json.Marshal(v1.Micro)
+	gotMicro, _ := json.Marshal(env.Flat.Micro)
 	if !bytes.Equal(gotMicro, wantMicro) {
-		t.Fatalf("/v1/solve plans differ from in-process solve:\n got %s\nwant %s", gotMicro, wantMicro)
-	}
-
-	// And the v2 flat section carries the identical plan encoding.
-	env, err := flexsp.NewClient(ts.URL).Plan(context.Background(), flexsp.PlanRequest{Lengths: batch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2Micro, _ := json.Marshal(env.Flat.Micro)
-	if !bytes.Equal(v2Micro, wantMicro) {
-		t.Fatalf("/v2/plan flat plans differ from /v1/solve:\n got %s\nwant %s", v2Micro, wantMicro)
+		t.Fatalf("/v2/plan plans differ from in-process solve:\n got %s\nwant %s", gotMicro, wantMicro)
 	}
 }
 

@@ -10,20 +10,12 @@ import (
 // WireVersion is the protocol version tagged into every /v2 plan envelope.
 const WireVersion = 2
 
-// SolveRequest is the body of POST /v1/solve and POST /v1/solve/pipelined:
-// the sequence lengths of one global data batch, plus an optional tenant
-// label the server's per-tenant admission control keys on (an empty tenant
-// is one shared bucket).
-type SolveRequest struct {
-	Lengths []int  `json:"lengths"`
-	Tenant  string `json:"tenant,omitempty"`
-}
-
 // PlanRequest is the body of POST /v2/plan: one batch of sequence lengths
 // plus the named strategy to plan it with. An empty strategy defaults to
 // "flexsp"; MaxCtx sizes the static baselines (deepspeed, megatron) and is
-// ignored by the adaptive strategies; Tenant keys admission control like the
-// v1 endpoints; Explain asks for the envelope's provenance attachment.
+// ignored by the adaptive strategies; Tenant labels the request for the
+// per-tenant admission control (an empty tenant is one shared bucket);
+// Explain asks for the envelope's provenance attachment.
 type PlanRequest struct {
 	Strategy string `json:"strategy,omitempty"`
 	Lengths  []int  `json:"lengths"`
@@ -48,9 +40,9 @@ type MegatronJSON struct {
 // PlanEnvelope is the body of a successful POST /v2/plan: a version- and
 // strategy-tagged union. Exactly one of Flat (flexsp and the homogeneous
 // baselines), Pipelined (the joint PP×SP strategy) or Megatron (the analytic
-// grid baseline) is set; the flat and pipelined sections reuse the v1 wire
-// types byte-for-byte, which is what lets /v1/solve and /v1/solve/pipelined
-// stay as thin shims over the same encoding.
+// grid baseline) is set; the flat and pipelined sections keep the encoding
+// the retired /v1/solve and /v1/solve/pipelined routes served, byte for
+// byte.
 type PlanEnvelope struct {
 	Version          int     `json:"version"`
 	Strategy         string  `json:"strategy"`
@@ -70,8 +62,8 @@ type PlanEnvelope struct {
 	Pipelined   *PipelinedResponse `json:"pipelined,omitempty"`
 	Megatron    *MegatronJSON      `json:"megatron,omitempty"`
 	// Stream is the session's speculation summary, attached only to
-	// envelopes returned by POST /v2/stream/{id}/close (additive: v1 shims
-	// and plain /v2/plan envelopes never carry it).
+	// envelopes returned by POST /v2/stream/{id}/close (additive: plain
+	// /v2/plan envelopes never carry it).
 	Stream *StreamStatsJSON `json:"stream,omitempty"`
 	// Explain is the plan's provenance, attached when the request set
 	// "explain": true.
@@ -110,8 +102,8 @@ type MicroPlanJSON struct {
 	Groups []GroupJSON `json:"groups"`
 }
 
-// SolveResponse is the body of a successful POST /v1/solve: the chosen
-// micro-batch plan sequence and its estimate. The Micro field is produced by
+// SolveResponse is a /v2 envelope's flat section: the chosen micro-batch
+// plan sequence and its estimate. The Micro field is produced by
 // EncodePlans, so a plan served over HTTP is byte-identical to encoding an
 // in-process Solve of the same batch.
 type SolveResponse struct {
@@ -145,8 +137,8 @@ type CandidateJSON struct {
 	Note       string  `json:"note,omitempty"`
 }
 
-// PipelinedResponse is the body of a successful POST /v1/solve/pipelined:
-// the chosen PP degree, the per-stage layer/device split, the per-stage
+// PipelinedResponse is a /v2 envelope's pipelined section: the chosen PP
+// degree, the per-stage layer/device split, the per-stage
 // micro-batch plans (Plans[j][s] is micro-batch j's plan on stage s) and the
 // swept candidates.
 type PipelinedResponse struct {
@@ -202,7 +194,7 @@ func DecodePlans(micro []MicroPlanJSON) []planner.MicroPlan {
 	return out
 }
 
-// EncodeResult converts a solver result to the /v1/solve wire form.
+// EncodeResult converts a solver result to the flat section's wire form.
 func EncodeResult(res solver.Result) SolveResponse {
 	return SolveResponse{
 		M:                res.M,
@@ -213,7 +205,7 @@ func EncodeResult(res solver.Result) SolveResponse {
 	}
 }
 
-// EncodePipelined converts a joint PP×SP result to the /v1/solve/pipelined
+// EncodePipelined converts a joint PP×SP result to the pipelined section's
 // wire form.
 func EncodePipelined(res pipeline.Result) PipelinedResponse {
 	out := PipelinedResponse{
