@@ -241,7 +241,6 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 
 	var pl *planner.Planner
-	var jp *pipeline.Planner
 	var mixedTopo cluster.MixedTopology
 	scalar := func(topo cluster.Topology) {
 		c := costmodel.Profile(cfg.Model, topo).WithStyle(cfg.CommStyle)
@@ -251,7 +250,7 @@ func NewSystem(cfg Config) (*System, error) {
 		if sys.cal != nil && len(mixedTopo.NodeGroups) > 0 {
 			c, _ = sys.cal.Apply(c, mixedTopo.NodeGroups[0].Class.Name)
 		}
-		pl, jp = planner.New(c), pipeline.NewPlanner(c)
+		pl = planner.New(c)
 	}
 	if cfg.Cluster != "" {
 		// Unreachable after Validate; kept defensive without duplicating
@@ -270,8 +269,7 @@ func NewSystem(cfg Config) (*System, error) {
 			if err != nil {
 				return nil, fmt.Errorf("flexsp: profiling %q: %w", cfg.Cluster, err)
 			}
-			sys.Hetero = &h
-			pl, jp = planner.NewHetero(h), pipeline.NewHeteroPlanner(h)
+			pl = planner.NewHetero(h)
 		}
 	} else {
 		t, err := cluster.NewA100Cluster(cfg.Devices)
@@ -282,12 +280,7 @@ func NewSystem(cfg Config) (*System, error) {
 		mixedTopo, _ = cluster.MixedCluster(cluster.ClassCount{Class: cluster.A100_40G, Devices: cfg.Devices})
 		scalar(t)
 	}
-	sys.Coeffs = pl.Coeffs
-	sys.Topo = sys.Coeffs.Topo
-	sys.Planner = pl
-	sys.Solver = sys.newSolver(pl)
-	sys.Joint = sys.newJoint(jp)
-	sys.pool = cluster.NewGroupPool(sys.Topo.NumDevices(), cluster.DefaultGroupCreation)
+	sys.setPlanner(pl)
 	// An elastic view of the same fleet backs live-topology planning
 	// (System.Topology, the daemon's /v2/topology). A fleet MixedCluster
 	// cannot model (unreachable for specs Validate accepts) leaves it nil.
@@ -314,6 +307,24 @@ func (s *System) profileMixed(mixed cluster.MixedTopology) (costmodel.HeteroCoef
 		h.Calibrate = s.cal.Calibrator()
 	}
 	return h, nil
+}
+
+// setPlanner completes s around its planner: the cost-model views, the
+// solver, the joint PP×SP planner pricing groups the same way, and the
+// communicator pool. NewSystem and every elastic rebuild fill a System
+// through it.
+func (s *System) setPlanner(pl *planner.Planner) {
+	s.Planner = pl
+	s.Coeffs = pl.Coeffs
+	s.Topo = pl.Coeffs.Topo
+	s.Hetero = pl.Hetero
+	s.Solver = s.newSolver(pl)
+	jp := pipeline.NewPlanner(pl.Coeffs)
+	if pl.Hetero != nil {
+		jp = pipeline.NewHeteroPlanner(*pl.Hetero)
+	}
+	s.Joint = s.newJoint(jp)
+	s.pool = cluster.NewGroupPool(s.Topo.NumDevices(), cluster.DefaultGroupCreation)
 }
 
 // newSolver puts a planner under the system's planning configuration —
@@ -384,15 +395,16 @@ func (s *System) Topology() *cluster.Elastic {
 	return s.elastic
 }
 
-// rebuildFor builds a solver and joint planner profiled for a live topology
-// snapshot: the elastic daemon's Rebuild hook. The snapshot's fleet is
-// always planned by a range-placing planner — every served group carries
+// rebuildFor builds the System for a live topology snapshot and returns its
+// solver and server strategies: the elastic daemon's Rebuild hook, so every
+// strategy the daemon serves plans for the live fleet. The snapshot's fleet
+// is always planned by a range-placing planner — every served group carries
 // its device range, so the next topology event can repair plans, and
 // straggler derating creates per-node pseudo-classes even on a single-class
 // fleet — and the solver is returned without a plan cache so the server
 // attaches a fresh one (stale cached placements from the previous fleet
 // must not leak in).
-func (s *System) rebuildFor(snap cluster.Snapshot) (*solver.Solver, *pipeline.Planner, error) {
+func (s *System) rebuildFor(snap cluster.Snapshot) (*solver.Solver, map[string]server.StrategyFunc, error) {
 	if len(snap.Mixed.NodeGroups) == 0 {
 		return nil, nil, fmt.Errorf("flexsp: no live devices in topology version %d", snap.Version)
 	}
@@ -400,7 +412,9 @@ func (s *System) rebuildFor(snap cluster.Snapshot) (*solver.Solver, *pipeline.Pl
 	if err != nil {
 		return nil, nil, fmt.Errorf("flexsp: profiling topology version %d: %w", snap.Version, err)
 	}
-	return s.newSolver(planner.NewHetero(h)), s.newJoint(pipeline.NewHeteroPlanner(h)), nil
+	live := &System{includeZeRO: s.includeZeRO, serve: s.serve, cfg: s.cfg, cal: s.cal}
+	live.setPlanner(planner.NewHetero(h))
+	return live.Solver, live.serverStrategies(), nil
 }
 
 // MustNewSystem is NewSystem for terse examples and tests: it panics on an
@@ -484,9 +498,9 @@ func (s *System) NewService(workers int) *solver.Service {
 // server attaches a shared plan cache to the system's solver if it has
 // none.
 func (s *System) NewServer() (*server.Server, error) {
-	sv, jp := s.Solver, s.Joint
+	sv, strategies := s.Solver, s.serverStrategies()
 	var elastic *cluster.Elastic
-	var rebuild func(cluster.Snapshot) (*solver.Solver, *pipeline.Planner, error)
+	var rebuild func(cluster.Snapshot) (*solver.Solver, map[string]server.StrategyFunc, error)
 	if s.serve.Elastic {
 		if s.elastic == nil {
 			return nil, fmt.Errorf("flexsp: ServeConfig.Elastic set but the fleet has no elastic topology")
@@ -497,19 +511,18 @@ func (s *System) NewServer() (*server.Server, error) {
 		// replan, so the first topology event can repair plans instead of
 		// falling back cold (a scalar solver has no placements to repair).
 		var err error
-		if sv, jp, err = s.rebuildFor(elastic.Snapshot()); err != nil {
+		if sv, strategies, err = s.rebuildFor(elastic.Snapshot()); err != nil {
 			return nil, err
 		}
 	}
 	return server.New(server.Config{
 		Solver:              sv,
-		Joint:               jp,
+		Strategies:          strategies,
 		Calibration:         s.serverCalibration(),
 		Topology:            elastic,
 		Rebuild:             rebuild,
 		ReplanDebounce:      s.serve.ReplanDebounce,
 		ResolveColdFraction: s.serve.ResolveColdFraction,
-		Strategies:          s.serverStrategies(),
 		QueueLimit:          s.serve.QueueLimit,
 		TenantLimit:         s.serve.TenantLimit,
 		BatchWindow:         s.serve.BatchWindow,
@@ -523,13 +536,14 @@ func (s *System) NewServer() (*server.Server, error) {
 	})
 }
 
-// serverStrategies exposes every registered strategy to POST /v2/plan,
-// except flexsp and pipeline: the server implements those natively on its
-// solver and joint planner.
+// serverStrategies exposes every registered strategy except flexsp to POST
+// /v2/plan, planned on this System. The daemon plans flexsp itself, on the
+// solver of its plan state, because elastic repair starts from the incumbent
+// that solve records.
 func (s *System) serverStrategies() map[string]server.StrategyFunc {
 	out := make(map[string]server.StrategyFunc)
 	for _, name := range Strategies() {
-		if name == StrategyFlexSP || name == StrategyPipeline {
+		if name == StrategyFlexSP {
 			continue
 		}
 		name := name

@@ -175,7 +175,7 @@ type Router struct {
 	reg    *obs.Registry
 	met    routerMetrics
 	gauged map[string]bool // per-replica gauges already registered
-	traces *traceRing
+	traces *obs.TraceRing
 
 	probeCancel context.CancelFunc
 	probeDone   chan struct{}
@@ -218,7 +218,7 @@ func New(cfg Config) (*Router, error) {
 		homeLimit: 8192,
 		reg:       obs.NewRegistry(),
 		gauged:    make(map[string]bool),
-		traces:    newTraceRing(64),
+		traces:    obs.NewTraceRing(64),
 	}
 	rt.met = newRouterMetrics(rt.reg)
 	rt.registerGauges()

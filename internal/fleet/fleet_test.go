@@ -16,7 +16,6 @@ import (
 
 	"flexsp/internal/cluster"
 	"flexsp/internal/costmodel"
-	"flexsp/internal/pipeline"
 	"flexsp/internal/planner"
 	"flexsp/internal/server"
 	"flexsp/internal/solver"
@@ -30,9 +29,6 @@ func newFleetReplica(t *testing.T, cfg server.Config) (*server.Server, *httptest
 	coeffs := costmodel.Profile(costmodel.GPT7B, cluster.A100Cluster(8))
 	if cfg.Solver == nil {
 		cfg.Solver = solver.New(planner.New(coeffs))
-	}
-	if cfg.Joint == nil {
-		cfg.Joint = pipeline.NewPlanner(coeffs)
 	}
 	s, err := server.New(cfg)
 	if err != nil {
@@ -463,6 +459,62 @@ func TestV1SolveRoutesGone(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("GET %s/v1/metrics = %d, want 200", base, resp.StatusCode)
 		}
+	}
+}
+
+// TestRouterTraceListNewestFirst pins the router's GET /v2/trace to the
+// daemon's order, newest first: each listed fleet.route trace names the
+// signature it routed, and the last request's comes first.
+func TestRouterTraceListNewestFirst(t *testing.T) {
+	_, replica := newFleetReplica(t, server.Config{})
+	_, router := newTestRouter(t, Config{Replicas: []Replica{{Name: "a", URL: replica.URL}}, ProbeInterval: -1})
+	batches := [][]int{fleetTestBatch, {4096, 2048}}
+	for _, lens := range batches {
+		if status, body := postPlan(t, router.URL, lens); status != http.StatusOK {
+			t.Fatalf("plan: status %d: %s", status, body)
+		}
+	}
+	var list struct {
+		Traces []string `json:"traces"`
+	}
+	getJSON(t, router.URL+"/v2/trace", &list)
+	if len(list.Traces) != len(batches) {
+		t.Fatalf("router lists %d traces, want %d", len(list.Traces), len(batches))
+	}
+	for i, id := range list.Traces {
+		var chrome struct {
+			TraceEvents []struct {
+				Name string         `json:"name"`
+				Args map[string]any `json:"args"`
+			} `json:"traceEvents"`
+		}
+		getJSON(t, router.URL+"/v2/trace/"+id, &chrome)
+		_, key := solver.Signature(batches[len(batches)-1-i])
+		want, got := fmt.Sprintf("%016x", key), any(nil)
+		for _, ev := range chrome.TraceEvents {
+			if ev.Name == "fleet.route" {
+				got = ev.Args["sig"]
+			}
+		}
+		if got != want {
+			t.Errorf("trace %d of the list routed %v, want %s (newest first)", i, got, want)
+		}
+	}
+}
+
+// getJSON GETs a URL and decodes its 200 JSON body into out.
+func getJSON(t *testing.T, url string, out any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -102,7 +102,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, body []byte, key
 	w.Header().Set("X-Flexsp-Trace-Id", tr.ID())
 	defer func() {
 		tr.End()
-		rt.traces.add(tr)
+		rt.traces.Add(tr)
 	}()
 
 	names := Rank(key, rt.routable())
@@ -554,4 +554,25 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write([]byte("{\"status\":\"ok\"}\n"))
+}
+
+// handleTraceList serves GET /v2/trace: the retained fleet.route trace IDs,
+// newest first.
+func (rt *Router) handleTraceList(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(encodeJSON(struct {
+		Traces []string `json:"traces"`
+	}{Traces: rt.traces.List()}))
+}
+
+// handleTraceGet serves GET /v2/trace/{id}: one trace in Chrome
+// trace-event format.
+func (rt *Router) handleTraceGet(w http.ResponseWriter, r *http.Request) {
+	body, ok := rt.traces.Get(r.PathValue("id"))
+	if !ok {
+		writeError(w, http.StatusNotFound, "unknown trace")
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(body)
 }

@@ -70,6 +70,36 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
+// Quantile estimates the q-quantile (0 ≤ q ≤ 1) of every observation so far
+// the way Prometheus's histogram_quantile does: it finds the bucket that
+// holds rank q·count and interpolates linearly between that bucket's lower
+// and upper bound (the first bucket starts at 0). A rank in the +Inf bucket
+// returns the highest finite bound, and an empty histogram returns 0.
+func (h *Histogram) Quantile(q float64) float64 {
+	counts := make([]int64, len(h.counts))
+	var total int64
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
+		total += counts[i]
+	}
+	if total == 0 {
+		return 0
+	}
+	rank := q * float64(total)
+	var below int64
+	for i, upper := range h.bounds {
+		if n := counts[i]; n > 0 && float64(below+n) >= rank {
+			lower := 0.0
+			if i > 0 {
+				lower = h.bounds[i-1]
+			}
+			return lower + (upper-lower)*(rank-float64(below))/float64(n)
+		}
+		below += counts[i]
+	}
+	return h.bounds[len(h.bounds)-1]
+}
+
 // DefBuckets are latency buckets in seconds, spanning sub-millisecond cache
 // hits to multi-second cold MILP solves.
 var DefBuckets = []float64{.001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}

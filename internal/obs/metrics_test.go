@@ -90,6 +90,33 @@ func TestHistogramBucketEdges(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantile pins the estimate to Prometheus's histogram_quantile:
+// linear interpolation inside the bucket holding the rank, the highest finite
+// bound for a rank in +Inf, and 0 on an empty histogram.
+func TestHistogramQuantile(t *testing.T) {
+	h := NewRegistry().Histogram("q", "q", []float64{1, 2, 4})
+	if got := h.Quantile(0.5); got != 0 {
+		t.Fatalf("empty histogram quantile = %v, want 0", got)
+	}
+	// Buckets (0,1]: 2, (1,2]: 4, (2,4]: 2, +Inf: 2; ten observations.
+	for _, v := range []float64{0.5, 1, 1.5, 1.5, 2, 2, 3, 4, 9, 100} {
+		h.Observe(v)
+	}
+	for _, tc := range []struct{ q, want float64 }{
+		{0.1, 0.5},  // rank 1 of the 2 in (0,1]
+		{0.2, 1},    // rank 2: the first bucket's upper bound
+		{0.5, 1.75}, // rank 5: 3 of the 4 in (1,2]
+		{0.7, 3},    // rank 7: 1 of the 2 in (2,4]
+		{0.8, 4},    // rank 8: the last finite bucket's upper bound
+		{0.99, 4},   // rank 9.9 falls in +Inf: the highest finite bound
+		{1, 4},
+	} {
+		if got := h.Quantile(tc.q); got != tc.want {
+			t.Errorf("Quantile(%v) = %v, want %v", tc.q, got, tc.want)
+		}
+	}
+}
+
 func TestRegistryDuplicatePanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("dup", "first")

@@ -44,11 +44,7 @@ func (pl *Planner) planEnum(ctx context.Context, lens []int) (MicroPlan, error) 
 		return MicroPlan{}, ErrInfeasible
 	}
 	items := itemsFromBuckets(pl.bucketize(lens))
-
-	top := pl.refineTop
-	if top <= 0 {
-		top = 6
-	}
+	top := refineTop
 
 	type cand struct {
 		degrees []int
@@ -155,7 +151,7 @@ func (pl *Planner) planEnum(ctx context.Context, lens []int) (MicroPlan, error) 
 		if !scan.place(items) {
 			continue
 		}
-		scan.refine(pl.refineIters())
+		scan.refine(refineIters)
 		if p := scan.plan(gtMemo); p.Time < best.Time {
 			best = p
 		}

@@ -205,7 +205,7 @@ func (pl *Planner) planPlacedMILP(ctx context.Context, lens []int) (MicroPlan, e
 		limit = 10 * time.Second
 	}
 	sol := milp.SolveContext(ctx, m, milp.Options{
-		TimeLimit: limit, Incumbent: incumbent, Gap: 0.02, Workers: pl.MILPWorkers,
+		TimeLimit: limit, Incumbent: incumbent, Gap: 0.02,
 	})
 	if sol.Status != milp.StatusOptimal && sol.Status != milp.StatusFeasible {
 		return MicroPlan{}, ErrInfeasible

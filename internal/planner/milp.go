@@ -157,7 +157,7 @@ func (pl *Planner) planMILP(ctx context.Context, lens []int) (MicroPlan, error) 
 	// A small relative gap matches practice: the paper accepts SCIP's first
 	// good solution within its 5–15s window rather than a proven optimum.
 	sol := milp.SolveContext(ctx, m, milp.Options{
-		TimeLimit: limit, Incumbent: incumbent, Gap: 0.02, Workers: pl.MILPWorkers,
+		TimeLimit: limit, Incumbent: incumbent, Gap: 0.02,
 	})
 	if sol.Status != milp.StatusOptimal && sol.Status != milp.StatusFeasible {
 		return MicroPlan{}, ErrInfeasible

@@ -33,17 +33,15 @@ type Planner struct {
 	// MILPTimeLimit budgets the branch-and-bound search for StrategyMILP
 	// (default 10s, matching the paper's 5–15s SCIP solves).
 	MILPTimeLimit time.Duration
-	// MILPWorkers bounds the branch-and-bound worker pool of StrategyMILP
-	// (default min(GOMAXPROCS, 8)). Set 1 when Plan already runs inside an
-	// outer worker pool (e.g. a parallel Solver), where nested fan-out
-	// oversubscribes the CPUs.
-	MILPWorkers int
-	// refineTop is how many enumerated configurations receive local-search
-	// refinement (default 6).
-	refineTop int
-	// RefineIters caps local-search improvement steps (default 200).
-	RefineIters int
 }
+
+const (
+	// refineTop is how many enumerated configurations receive local-search
+	// refinement.
+	refineTop = 6
+	// refineIters caps local-search improvement steps.
+	refineIters = 200
+)
 
 // New returns a Planner with the paper's defaults.
 func New(c costmodel.Coeffs) *Planner {
@@ -82,13 +80,6 @@ func (pl *Planner) WithStyle(s costmodel.CommStyle) *Planner {
 		cp.Hetero = &h
 	}
 	return &cp
-}
-
-func (pl *Planner) refineIters() int {
-	if pl.RefineIters > 0 {
-		return pl.RefineIters
-	}
-	return 200
 }
 
 // effectiveQ resolves the bucket count without mutating the receiver (a
@@ -156,8 +147,9 @@ func (pl *Planner) planDispatch(ctx context.Context, lens []int) (MicroPlan, err
 // PlanHomogeneous finds the best single-degree plan for the micro-batch: all
 // groups share one SP degree d, the micro-batch's sequences are spread over
 // the N/d groups with the balanced LPT heuristic, and the d minimizing the
-// makespan wins. This is the per-batch adaptive policy of the
-// FlexSP-BatchAda baseline (§6.1).
+// makespan wins. It is the homogeneous reference that
+// TestEnumDominatesHomogeneous holds the flexible planners against; the
+// FlexSP-BatchAda baseline (§6.1) is separate code, baselines.BatchAda.
 func (pl *Planner) PlanHomogeneous(lens []int) (MicroPlan, error) {
 	if len(lens) == 0 {
 		return MicroPlan{}, nil
@@ -190,7 +182,7 @@ func (pl *Planner) PlanHomogeneous(lens []int) (MicroPlan, error) {
 		if !a.place(items) {
 			continue
 		}
-		a.refine(pl.refineIters())
+		a.refine(refineIters)
 		if p := a.plan(nil); !found || p.Time < best.Time {
 			best, found = p, true
 		}
@@ -222,6 +214,6 @@ func (pl *Planner) PlanFixedDegree(lens []int, degree int) (MicroPlan, error) {
 	if !a.place(items) {
 		return MicroPlan{}, ErrInfeasible
 	}
-	a.refine(pl.refineIters())
+	a.refine(refineIters)
 	return a.plan(nil), nil
 }

@@ -2,23 +2,56 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http"
+	"sort"
+	"strings"
 	"time"
 
 	"flexsp/internal/cluster"
 	"flexsp/internal/obs"
-	"flexsp/internal/pipeline"
 	"flexsp/internal/solver"
 )
 
-// planState is the immutable unit the daemon plans with: a solver and joint
-// planner built for one topology snapshot. Requests load it atomically, the
-// replan loop swaps it atomically, so an in-flight solve always finishes on
-// the solver it started with even if the fleet changes mid-solve.
+// planState is the immutable unit the daemon plans with: the solver behind
+// flexsp and the table of every other strategy, both built for one topology
+// snapshot. Requests and stream sessions load it atomically, the replan loop
+// swaps it atomically, so an in-flight plan always finishes on the fleet
+// view it started with even if the fleet changes mid-solve.
 type planState struct {
-	solver *solver.Solver
-	joint  *pipeline.Planner
-	snap   cluster.Snapshot // zero-valued on a static daemon
+	solver     *solver.Solver
+	strategies map[string]StrategyFunc // lowercase names; never "flexsp"
+	snap       cluster.Snapshot        // zero-valued on a static daemon
+}
+
+// newPlanState binds a solver and a strategy table to the fleet view snap,
+// attaching a plan cache to a solver that has none. On a replan (cur
+// non-nil) the table is trimmed to cur's names and must answer all of them,
+// so a request validated against one plan state never reaches a missing
+// strategy in the next.
+func (s *Server) newPlanState(sv *solver.Solver, fns map[string]StrategyFunc, snap cluster.Snapshot, cur *planState) (*planState, error) {
+	tbl := make(map[string]StrategyFunc, len(fns))
+	for name, fn := range fns {
+		if name = strings.ToLower(name); name != "" && name != "flexsp" && fn != nil {
+			if cur == nil || cur.strategies[name] != nil {
+				tbl[name] = fn
+			}
+		}
+	}
+	if cur != nil && len(tbl) != len(cur.strategies) {
+		var missing []string
+		for name := range cur.strategies {
+			if tbl[name] == nil {
+				missing = append(missing, name)
+			}
+		}
+		sort.Strings(missing)
+		return nil, fmt.Errorf("rebuilt strategy table lacks %s", strings.Join(missing, ", "))
+	}
+	if sv.Cache == nil {
+		sv.Cache = solver.NewPlanCache(s.cfg.CacheEntries, s.cfg.CacheGranularity)
+	}
+	return &planState{solver: sv, strategies: tbl, snap: snap}, nil
 }
 
 // lastSolve remembers the most recent flexsp solve: batch, incumbent (plans
@@ -32,10 +65,16 @@ type lastSolve struct {
 
 func (s *Server) planState() *planState { return s.planning.Load() }
 
-// degraded reports whether plans from st lag the live topology: events have
-// been applied that st's solver does not know about yet.
-func (s *Server) degraded(st *planState) bool {
-	return s.cfg.Topology != nil && s.cfg.Topology.Version() > st.snap.Version
+// degradedPlan reports whether a plan from st, about to be served, lags the
+// live topology (events have been applied that st does not know about yet),
+// and counts it when it does. /v2/plan passes and stream closes stamp their
+// envelope with it.
+func (s *Server) degradedPlan(st *planState) bool {
+	if s.cfg.Topology == nil || s.cfg.Topology.Version() <= st.snap.Version {
+		return false
+	}
+	s.met.degradedPlans.Add(1)
+	return true
 }
 
 // recordSolve stores the solve the replan loop will warm-start from.
@@ -157,7 +196,7 @@ func (s *Server) replanOnce(ctx context.Context) {
 		// The events canceled out (e.g. a node flapped down and up): keep
 		// solver and plans, just acknowledge the version so responses stop
 		// reading degraded.
-		s.planning.Store(&planState{solver: cur.solver, joint: cur.joint, snap: snap})
+		s.planning.Store(&planState{solver: cur.solver, strategies: cur.strategies, snap: snap})
 		s.logger.Debug("replan: topology view unchanged", "version", snap.Version)
 		return
 	}
@@ -165,15 +204,16 @@ func (s *Server) replanOnce(ctx context.Context) {
 	_, span := obs.Start(ctx, "server.replan")
 	defer span.End()
 	span.SetAttr("version", int(snap.Version))
-	sv, jp, err := s.cfg.Rebuild(snap)
+	sv, fns, err := s.cfg.Rebuild(snap)
+	var next *planState
+	if err == nil {
+		next, err = s.newPlanState(sv, fns, snap, cur)
+	}
 	if err != nil {
 		span.SetError(err)
 		s.logger.Warn("replan: rebuild failed; serving degraded plans",
 			"version", snap.Version, "err", err)
 		return
-	}
-	if sv.Cache == nil {
-		sv.Cache = solver.NewPlanCache(s.cfg.CacheEntries, s.cfg.CacheGranularity)
 	}
 	s.lastMu.Lock()
 	last := s.last
@@ -199,7 +239,7 @@ func (s *Server) replanOnce(ctx context.Context) {
 		}
 	}
 	s.retire(cur)
-	s.planning.Store(&planState{solver: sv, joint: jp, snap: snap})
+	s.planning.Store(next)
 	s.met.replans.Inc()
 	if stats.Cold {
 		s.met.coldReplans.Inc()

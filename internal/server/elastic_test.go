@@ -17,17 +17,25 @@ import (
 	"flexsp/internal/solver"
 )
 
-// elasticRebuild is the test Rebuild hook: a hetero solver and joint planner
-// profiled for the snapshot's live topology.
-func elasticRebuild(snap cluster.Snapshot) (*solver.Solver, *pipeline.Planner, error) {
-	if len(snap.Mixed.NodeGroups) == 0 {
-		return nil, nil, fmt.Errorf("no live devices")
+// elasticRebuild returns the test Rebuild hook: a hetero solver and a
+// pipeline strategy profiled for the snapshot's live topology, plus the fixed
+// extra strategies.
+func elasticRebuild(extra map[string]StrategyFunc) func(cluster.Snapshot) (*solver.Solver, map[string]StrategyFunc, error) {
+	return func(snap cluster.Snapshot) (*solver.Solver, map[string]StrategyFunc, error) {
+		if len(snap.Mixed.NodeGroups) == 0 {
+			return nil, nil, fmt.Errorf("no live devices")
+		}
+		h := costmodel.ProfileMixed(costmodel.GPT7B, snap.Mixed)
+		fns := map[string]StrategyFunc{"pipeline": pipelineStrategy(pipeline.NewHeteroPlanner(h))}
+		for name, fn := range extra {
+			fns[name] = fn
+		}
+		return solver.New(planner.NewHetero(h)), fns, nil
 	}
-	h := costmodel.ProfileMixed(costmodel.GPT7B, snap.Mixed)
-	return solver.New(planner.NewHetero(h)), pipeline.NewHeteroPlanner(h), nil
 }
 
-// newElasticServer builds a daemon over a live nodes×8 A100 fleet.
+// newElasticServer builds a daemon over a live nodes×8 A100 fleet; the
+// strategies in cfg.Strategies serve every plan state beside pipeline.
 func newElasticServer(t *testing.T, nodes int, cfg Config) (*Server, *httptest.Server, *cluster.Elastic) {
 	t.Helper()
 	m, err := cluster.MixedCluster(cluster.ClassCount{Class: cluster.A100_40G, Devices: nodes * 8})
@@ -38,14 +46,15 @@ func newElasticServer(t *testing.T, nodes int, cfg Config) (*Server, *httptest.S
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv, jp, err := elasticRebuild(e.Snapshot())
+	rebuild := elasticRebuild(cfg.Strategies)
+	sv, fns, err := rebuild(e.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Solver = sv
-	cfg.Joint = jp
+	cfg.Strategies = fns
 	cfg.Topology = e
-	cfg.Rebuild = elasticRebuild
+	cfg.Rebuild = rebuild
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -244,6 +253,46 @@ func TestReplanFlapKeepsSolver(t *testing.T) {
 	}
 	if s.planState().solver != before {
 		t.Fatal("unchanged view rebuilt the solver")
+	}
+}
+
+// TestStreamCloseAfterReplan pins that a stream session keeps the plan state
+// it opened on and closes through the flexsp envelope builder: closed after a
+// replan it opened before, its plan is for the previous fleet view, so the
+// envelope says degraded, and it carries the daemon's calibration tag in the
+// envelope and in explain like POST /v2/plan does.
+func TestStreamCloseAfterReplan(t *testing.T) {
+	const tag = "v3 (x)"
+	s, ts, _ := newElasticServer(t, 4, Config{ReplanDebounce: time.Millisecond,
+		Calibration: CalibrationInfo{Version: 3, Tag: tag}})
+	id := openStream(t, ts.URL, StreamOpenRequest{})
+	if resp, body := postStream(t, ts.URL, "/v2/stream/"+id+"/append", StreamAppendRequest{Lengths: testBatch}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("append: status %d body %s", resp.StatusCode, body)
+	}
+	if resp, _, body := postTopology(t, ts.URL, TopologyRequest{Events: []cluster.Event{{Kind: cluster.EventNodeDown, Node: 3}}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("topology post = %d: %s", resp.StatusCode, body)
+	}
+	waitReplanned(t, s)
+
+	resp, body := postStream(t, ts.URL, "/v2/stream/"+id+"/close", StreamCloseRequest{Explain: true})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("close: status %d body %s", resp.StatusCode, body)
+	}
+	var closed PlanEnvelope
+	if err := json.Unmarshal(body, &closed); err != nil {
+		t.Fatal(err)
+	}
+	if !closed.Degraded {
+		t.Error("close of a session opened before the replan not flagged degraded")
+	}
+	if got := s.Metrics().Topology.DegradedPlans; got != 1 {
+		t.Errorf("degraded_plans = %d, want 1", got)
+	}
+	plan := postPlanEnvelope(t, ts.URL, PlanRequest{Lengths: testBatch, Explain: true})
+	for what, env := range map[string]PlanEnvelope{"stream close": closed, "/v2/plan": plan} {
+		if env.Calibration != tag || env.Explain == nil || env.Explain.Calibration != tag {
+			t.Errorf("%s: calibration %q, explain %+v; want %q in both", what, env.Calibration, env.Explain, tag)
+		}
 	}
 }
 

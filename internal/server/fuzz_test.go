@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"flexsp/internal/cluster"
-	"flexsp/internal/pipeline"
 	"flexsp/internal/solver"
 )
 
@@ -61,7 +60,7 @@ func FuzzPlanRequestDecode(f *testing.F) {
 	f.Add([]byte(`{"lengths":[1024],"maxCtx":-1}`))
 	f.Add([]byte(`{"lengths":[9007199254740993]}`))
 
-	s, err := New(Config{Solver: testSolver(), Joint: pipeline.NewPlanner(testCoeffs()), BatchWindow: -1})
+	s, err := New(Config{Solver: testSolver(), Strategies: testStrategies(), BatchWindow: -1})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -111,10 +110,9 @@ func FuzzTopologyEventDecode(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{}`))
 
-	sv := testSolver()
-	jp := pipeline.NewPlanner(testCoeffs())
-	stubRebuild := func(cluster.Snapshot) (*solver.Solver, *pipeline.Planner, error) {
-		return sv, jp, nil
+	sv, fns := testSolver(), testStrategies()
+	stubRebuild := func(cluster.Snapshot) (*solver.Solver, map[string]StrategyFunc, error) {
+		return sv, fns, nil
 	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -133,7 +131,7 @@ func FuzzTopologyEventDecode(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(Config{Solver: sv, Joint: jp, Topology: e, Rebuild: stubRebuild, BatchWindow: -1})
+		s, err := New(Config{Solver: sv, Strategies: fns, Topology: e, Rebuild: stubRebuild, BatchWindow: -1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"sort"
-	"sync"
 	"time"
 
 	"flexsp/internal/obs"
@@ -39,8 +37,12 @@ type MetricsResponse struct {
 	QueueDepth int64 `json:"queue_depth"`
 	QueueLimit int   `json:"queue_limit"`
 
-	// LatencyP50Millis / LatencyP99Millis are request-latency percentiles
-	// over a sliding window of recent requests (admission to response).
+	// LatencyP50Millis / LatencyP99Millis estimate request-latency
+	// percentiles (admission to response) from the
+	// flexsp_request_latency_seconds histogram: bucket estimates over the
+	// daemon's whole life, interpolated linearly inside the bucket as
+	// Prometheus histogram_quantile does, not exact values over recent
+	// requests.
 	LatencyP50Millis float64 `json:"latency_p50_millis"`
 	LatencyP99Millis float64 `json:"latency_p99_millis"`
 
@@ -142,11 +144,9 @@ type StreamMetrics struct {
 	Reused       int64 `json:"reused"`
 }
 
-// metrics aggregates the daemon's request counters — registered in the
-// server's obs.Registry, so /v1/metrics (JSON) and /metrics (Prometheus
-// text) read the same instruments — plus the latency instruments: a
-// fixed-bucket histogram for Prometheus and a sliding window for the JSON
-// p50/p99.
+// metrics aggregates the daemon's request counters and latency histograms,
+// all registered in the server's obs.Registry, so /v1/metrics (JSON) and
+// /metrics (Prometheus text) read the same instruments.
 type metrics struct {
 	requests    *obs.Counter
 	solves      *obs.Counter
@@ -173,7 +173,6 @@ type metrics struct {
 	latency        *obs.Histogram
 	planAfterClose *obs.Histogram
 	replanSeconds  *obs.Histogram
-	lat            latencyWindow
 }
 
 // newMetrics registers the request counters and latency histogram.
@@ -205,51 +204,4 @@ func newMetrics(reg *obs.Registry) metrics {
 		planAfterClose: reg.Histogram("flexsp_plan_after_close_seconds", "Time from stream close to plan response.", obs.DefBuckets),
 		replanSeconds:  reg.Histogram("flexsp_replan_seconds", "Wall time of one background replan (rebuild + warm re-solve).", obs.DefBuckets),
 	}
-}
-
-// observeLatency feeds both latency instruments.
-func (m *metrics) observeLatency(seconds float64) {
-	m.lat.observe(seconds)
-	m.latency.Observe(seconds)
-}
-
-// latencyWindow keeps the last windowSize request latencies (seconds) in a
-// ring; percentiles sort a snapshot on demand, which is cheap at metric-read
-// frequency.
-type latencyWindow struct {
-	mu   sync.Mutex
-	buf  [latencyWindowSize]float64
-	next int
-	n    int
-}
-
-const latencyWindowSize = 4096
-
-func (w *latencyWindow) observe(seconds float64) {
-	w.mu.Lock()
-	w.buf[w.next] = seconds
-	w.next = (w.next + 1) % len(w.buf)
-	if w.n < len(w.buf) {
-		w.n++
-	}
-	w.mu.Unlock()
-}
-
-// percentiles returns the p50 and p99 of the window, zero when empty.
-func (w *latencyWindow) percentiles() (p50, p99 float64) {
-	w.mu.Lock()
-	snap := make([]float64, w.n)
-	copy(snap, w.buf[:w.n])
-	w.mu.Unlock()
-	if len(snap) == 0 {
-		return 0, 0
-	}
-	sort.Float64s(snap)
-	return quantile(snap, 0.50), quantile(snap, 0.99)
-}
-
-// quantile reads the q-th quantile of a sorted slice (nearest-rank).
-func quantile(sorted []float64, q float64) float64 {
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
 }

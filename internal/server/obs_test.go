@@ -183,7 +183,9 @@ func TestTraceEndpoints(t *testing.T) {
 		t.Fatal("no X-Flexsp-Trace-Id on response")
 	}
 
-	// The ring lists the finished trace, newest first.
+	// The ring lists the finished traces, newest first.
+	later, _ := postPlan(t, ts.URL, PlanRequest{Lengths: otherBatch(0)})
+	laterID := later.Header.Get("X-Flexsp-Trace-Id")
 	lr, err := http.Get(ts.URL + "/v2/trace")
 	if err != nil {
 		t.Fatal(err)
@@ -196,14 +198,8 @@ func TestTraceEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, id := range list.Traces {
-		if id == traceID {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("trace %s not in /v2/trace list %v", traceID, list.Traces)
+	if len(list.Traces) != 2 || list.Traces[0] != laterID || list.Traces[1] != traceID {
+		t.Fatalf("/v2/trace lists %v, want [%s %s] (newest first)", list.Traces, laterID, traceID)
 	}
 
 	// The exported trace is Chrome trace_event JSON whose spans cover the

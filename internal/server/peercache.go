@@ -23,10 +23,10 @@ import (
 // Two guards keep stale fleet views out of the peer tier. Degraded envelopes
 // (an elastic replica answering while its plan state lags the live topology)
 // are never stored: they describe a transient fleet view no peer should
-// replicate. And every entry is stamped with the topology version its plan
-// was built for; a fetch compares the stamp against the live topology
-// version and misses on any difference, so envelopes stored before a
-// POST /v2/topology event never outlive the replan that absorbs it.
+// replicate. And every entry is stamped with the topology version of the plan
+// state that planned it; a fetch compares the stamp against the live
+// topology version and misses on any difference, so envelopes stored before
+// a POST /v2/topology event never outlive the replan that absorbs it.
 type envelopeCache struct {
 	mu      sync.Mutex
 	limit   int
@@ -126,8 +126,8 @@ type CacheFetchResponse struct {
 	Envelope json.RawMessage `json:"envelope"`
 }
 
-// topologyVersion is the live topology version — what envelope entries are
-// stamped with and checked against. A static daemon is forever at version 0.
+// topologyVersion is the live topology version that envelope stamps are
+// checked against. A static daemon is forever at version 0.
 func (s *Server) topologyVersion() int64 {
 	if s.cfg.Topology == nil {
 		return 0
@@ -136,20 +136,10 @@ func (s *Server) topologyVersion() int64 {
 }
 
 // storeEnvelope records a successfully served, non-degraded /v2/plan pass in
-// the envelope cache, stamped with the plan state's topology version.
-func (s *Server) storeEnvelope(job planJob, body []byte) {
-	if s.envelopes == nil {
-		return
-	}
-	// Probing the envelope for the degraded flag would mean decoding it;
-	// instead the elastic check is cheap and conservative — while the plan
-	// state lags the topology, nothing is stored. The version stamp below
-	// closes the remaining race: an event applied between this check and the
-	// put leaves an entry stamped with the old version, which get rejects.
-	st := s.planState()
-	if s.degraded(st) {
-		return
-	}
+// the envelope cache, stamped with the topology version of st, the plan
+// state that planned it. An event applied after the pass's degraded check
+// leaves the entry stamped with the old version, which get rejects.
+func (s *Server) storeEnvelope(job planJob, st *planState, body []byte) {
 	// The stored bytes drop encodeJSON's trailing newline: they travel as a
 	// json.RawMessage, whose marshalling compacts surrounding whitespace
 	// away. The fetcher re-appends the newline, restoring byte identity with
@@ -172,10 +162,6 @@ func (s *Server) storeEnvelope(job planJob, body []byte) {
 // only reveals plans this replica already served — so it is safe to probe at
 // any rate and is exempt from admission control.
 func (s *Server) handleCacheFetch(w http.ResponseWriter, r *http.Request) {
-	if s.envelopes == nil {
-		writeError(w, http.StatusNotImplemented, "envelope cache disabled")
-		return
-	}
 	sigKey, err := strconv.ParseUint(r.PathValue("sig"), 16, 64)
 	if err != nil {
 		s.met.errors.Add(1)

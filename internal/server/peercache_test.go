@@ -1,10 +1,13 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"flexsp/internal/cluster"
 	"flexsp/internal/solver"
@@ -90,5 +93,37 @@ func TestCacheFetchTopologyInvalidation(t *testing.T) {
 	}
 	if got.Version != 1 {
 		t.Fatalf("cache fetch version after replan = %d, want 1", got.Version)
+	}
+}
+
+// TestCacheFetchOvertakenPass pins the envelope-cache stamp to the plan state
+// that planned the pass: a pass that a replan overtakes planned for the old
+// fleet, so it must not be cached under the new topology version, or a peer
+// would relay a plan for devices that are gone.
+func TestCacheFetchOvertakenPass(t *testing.T) {
+	var srv atomic.Pointer[Server]
+	overtaken := func(ctx context.Context, spec PlanSpec) (PlanEnvelope, error) {
+		s := srv.Load()
+		ver, err := s.cfg.Topology.Apply(cluster.Event{Kind: cluster.EventNodeDown, Node: 1})
+		if err != nil {
+			return PlanEnvelope{}, err
+		}
+		for deadline := time.Now().Add(10 * time.Second); s.planState().snap.Version < ver; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				return PlanEnvelope{}, fmt.Errorf("replan never landed")
+			}
+		}
+		return PlanEnvelope{Version: WireVersion, Strategy: "overtaken", Flat: &SolveResponse{}}, nil
+	}
+	s, ts, _ := newElasticServer(t, 2, Config{ReplanDebounce: -1,
+		Strategies: map[string]StrategyFunc{"overtaken": overtaken}})
+	srv.Store(s)
+
+	lens := []int{1024, 2048}
+	if env := postPlanEnvelope(t, ts.URL, PlanRequest{Strategy: "overtaken", Lengths: lens}); !env.Degraded {
+		t.Error("pass overtaken by a replan not flagged degraded")
+	}
+	if status, got := fetchCache(t, ts.URL, lens, "?strategy=overtaken"); status != http.StatusNotFound {
+		t.Fatalf("cache fetch of an overtaken pass = %d (version %d), want 404", status, got.Version)
 	}
 }

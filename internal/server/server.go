@@ -3,9 +3,10 @@
 // sequence-parallel planning is disaggregated from training and runs ahead
 // of each step as a standalone, multi-tenant component.
 //
-// The daemon speaks a versioned wire protocol over a solver.Solver, the
-// joint PP×SP pipeline.Planner, and any extra named strategies supplied by
-// the facade:
+// The daemon speaks a versioned wire protocol over a solver.Solver, which
+// plans the built-in flexsp strategy, and a table of named strategies the
+// facade supplies (the joint PP×SP pipeline, ring, the baselines and custom
+// registrations):
 //
 //	POST /v2/plan             {"strategy","lengths","maxCtx","tenant",
 //	                          "explain"} → tagged plan envelope (version,
@@ -31,9 +32,10 @@
 //
 // An elastic daemon (Config.Topology + Config.Rebuild) additionally keeps
 // its plan state in step with a live fleet: topology events debounce into a
-// background replan that rebuilds the solver for the new fleet and repairs
-// the last served plan via solver.Resolve, while requests racing the replan
-// are served from the best incumbent state flagged "degraded":true.
+// background replan that rebuilds the solver and the strategy table for the
+// new fleet and repairs the last served plan via solver.Resolve, while
+// requests racing the replan are served from the previous plan state flagged
+// "degraded":true, whichever strategy they name.
 //
 // Three layers keep it standing under heavy traffic: admission control (a
 // bounded queue plus per-tenant concurrency limits, overflow answered with
@@ -65,7 +67,6 @@ import (
 
 	"flexsp/internal/cluster"
 	"flexsp/internal/obs"
-	"flexsp/internal/pipeline"
 	"flexsp/internal/solver"
 )
 
@@ -82,9 +83,9 @@ type PlanSpec struct {
 }
 
 // StrategyFunc produces one named strategy's tagged plan envelope for POST
-// /v2/plan. The facade registers its strategy registry here; the flexsp and
-// pipeline strategies are built in (they run on the server's own solver and
-// joint planner).
+// /v2/plan, planned for the fleet view of the plan state it belongs to. The
+// facade registers its strategy registry here; only flexsp is built in (it
+// runs on the plan state's solver).
 type StrategyFunc func(ctx context.Context, spec PlanSpec) (PlanEnvelope, error)
 
 // Config configures a Server.
@@ -97,12 +98,12 @@ type Config struct {
 	// Solver arrives without one (defaults 1024 entries, 256-token
 	// rounding); they are ignored for a solver that already has a cache.
 	CacheEntries, CacheGranularity int
-	// Joint handles the pipeline strategy; nil answers it with 501.
-	Joint *pipeline.Planner
-	// Strategies adds extra named strategies to POST /v2/plan (the facade
-	// passes its registry: deepspeed, batchada, megatron, plus any custom
-	// registrations). Entries named "flexsp" or "pipeline" are ignored —
-	// the built-ins own those names.
+	// Strategies are the named strategies POST /v2/plan serves beside the
+	// built-in flexsp, planned for the boot fleet (the facade passes its
+	// registry: pipeline, ring, deepspeed, batchada, megatron, plus any
+	// custom registrations). Names are case-insensitive; an entry named
+	// "flexsp" is ignored. A daemon without a "pipeline" entry answers that
+	// name with 501.
 	Strategies map[string]StrategyFunc
 	// QueueLimit bounds admitted requests (waiting in a batching window or
 	// solving); overflow is answered with 429. Default 64.
@@ -140,11 +141,14 @@ type Config struct {
 	// to it and a background loop replans after changes. Requires Rebuild.
 	// Nil keeps the daemon static (topology routes answer 501).
 	Topology *cluster.Elastic
-	// Rebuild constructs the solver and joint planner for a new topology
-	// snapshot during a replan. The returned solver may come without a
-	// cache; one is attached (CacheEntries/CacheGranularity). Errors keep
-	// the previous plan state serving, flagged degraded.
-	Rebuild func(cluster.Snapshot) (*solver.Solver, *pipeline.Planner, error)
+	// Rebuild constructs the solver and the strategy table for a new
+	// topology snapshot during a replan; the two swap in together, so every
+	// strategy plans for the live fleet. The table must answer every name
+	// Config.Strategies does (extra names are dropped, so each plan state
+	// answers the same names). The returned solver may come without a cache;
+	// one is attached (CacheEntries/CacheGranularity). Errors, a missing name
+	// included, keep the previous plan state serving, flagged degraded.
+	Rebuild func(cluster.Snapshot) (*solver.Solver, map[string]StrategyFunc, error)
 	// ReplanDebounce is how long the replan loop waits after a topology
 	// event for further events to coalesce before replanning. Zero takes
 	// the 100ms default; negative replans immediately.
@@ -152,12 +156,6 @@ type Config struct {
 	// ResolveColdFraction is passed to solver.Resolve during replans (the
 	// repair give-up threshold); zero takes the solver default.
 	ResolveColdFraction float64
-	// EnvelopeCacheEntries bounds the cache of pre-encoded /v2/plan
-	// envelopes behind GET /v2/cache/{sig} — the peer-fetch tier a fleet
-	// router probes before routing a rebalanced signature to a cold solve.
-	// Zero takes the 512 default; negative disables the endpoint (404-free:
-	// it answers 501).
-	EnvelopeCacheEntries int
 	// Calibration identifies the fitted cost-model coefficient set the
 	// daemon's solvers plan with. The zero value means the analytic built-in
 	// profile: the calibration gauge reports version 0 and envelopes carry no
@@ -168,12 +166,11 @@ type Config struct {
 // Server is the planning daemon. It implements http.Handler; wrap it in an
 // http.Server (or httptest.Server) to serve it.
 type Server struct {
-	cfg        Config
-	mux        *http.ServeMux
-	batch      *batcher // /v2/plan passes, keyed by (strategy, maxCtx, explain, lengths)
-	strategies map[string]StrategyFunc
-	start      time.Time
-	logger     *slog.Logger
+	cfg    Config
+	mux    *http.ServeMux
+	batch  *batcher // /v2/plan passes, keyed by (strategy, maxCtx, explain, lengths)
+	start  time.Time
+	logger *slog.Logger
 
 	sem      chan struct{} // admission slots; len(sem) is the queue depth
 	draining atomic.Bool
@@ -184,8 +181,8 @@ type Server struct {
 	streamMu sync.Mutex
 	streams  map[string]*streamSession
 
-	// planning is the atomically swapped plan state (solver, joint planner,
-	// topology snapshot); the replan loop is its only writer. lastSolve
+	// planning is the atomically swapped plan state (solver, strategy
+	// table, topology snapshot); the replan loop is its only writer. lastSolve
 	// feeds plan repair; retired* accumulate counters of solvers replaced
 	// by replans so Prometheus series stay monotonic across swaps.
 	planning      atomic.Pointer[planState]
@@ -200,19 +197,20 @@ type Server struct {
 
 	met       metrics
 	reg       *obs.Registry
-	traces    *traceRing
+	traces    *obs.TraceRing // nil when tracing is disabled
 	traced    *obs.Counter
 	envelopes *envelopeCache
 }
+
+// envelopeCacheEntries bounds the cache of pre-encoded /v2/plan envelopes
+// behind GET /v2/cache/{sig}.
+const envelopeCacheEntries = 512
 
 // New builds a Server. A nil cfg.Solver is a configuration error and is
 // returned as one, not panicked on.
 func New(cfg Config) (*Server, error) {
 	if cfg.Solver == nil {
 		return nil, fmt.Errorf("server: Config.Solver is required")
-	}
-	if cfg.Solver.Cache == nil {
-		cfg.Solver.Cache = solver.NewPlanCache(cfg.CacheEntries, cfg.CacheGranularity)
 	}
 	if cfg.QueueLimit <= 0 {
 		cfg.QueueLimit = 64
@@ -262,33 +260,21 @@ func New(cfg Config) (*Server, error) {
 	}
 	switch {
 	case cfg.TraceEntries == 0:
-		s.traces = newTraceRing(64)
+		s.traces = obs.NewTraceRing(64)
 	case cfg.TraceEntries > 0:
-		s.traces = newTraceRing(cfg.TraceEntries)
+		s.traces = obs.NewTraceRing(cfg.TraceEntries)
 	}
-	switch {
-	case cfg.EnvelopeCacheEntries == 0:
-		s.envelopes = newEnvelopeCache(512)
-	case cfg.EnvelopeCacheEntries > 0:
-		s.envelopes = newEnvelopeCache(cfg.EnvelopeCacheEntries)
-	}
-	st := &planState{solver: cfg.Solver, joint: cfg.Joint}
+	s.envelopes = newEnvelopeCache(envelopeCacheEntries)
+	var snap cluster.Snapshot
 	if cfg.Topology != nil {
-		st.snap = cfg.Topology.Snapshot()
+		snap = cfg.Topology.Snapshot()
+	}
+	st, err := s.newPlanState(cfg.Solver, cfg.Strategies, snap, nil)
+	if err != nil {
+		return nil, err
 	}
 	s.planning.Store(st)
 	s.registerGauges()
-	s.strategies = map[string]StrategyFunc{"flexsp": s.planFlexSP}
-	if cfg.Joint != nil {
-		s.strategies["pipeline"] = s.planPipelined
-	}
-	for name, fn := range cfg.Strategies {
-		name = strings.ToLower(name)
-		if name == "" || name == "flexsp" || name == "pipeline" || fn == nil {
-			continue
-		}
-		s.strategies[name] = fn
-	}
 	s.batch = newBatcher(cfg.BatchWindow, s.runV2)
 	s.mux.HandleFunc("POST /v2/plan", s.handlePlanV2)
 	s.mux.HandleFunc("POST /v2/stream/open", s.handleStreamOpen)
@@ -376,10 +362,8 @@ func (s *Server) registerGauges() {
 			defer s.streamMu.Unlock()
 			return float64(len(s.streams))
 		})
-	if s.envelopes != nil {
-		s.reg.GaugeFunc("flexsp_envelope_cache_entries", "Pre-encoded /v2/plan envelopes cached for peer fetch.",
-			func() float64 { return float64(s.envelopes.len()) })
-	}
+	s.reg.GaugeFunc("flexsp_envelope_cache_entries", "Pre-encoded /v2/plan envelopes cached for peer fetch.",
+		func() float64 { return float64(s.envelopes.len()) })
 	s.reg.GaugeFunc("flexsp_calibration_version", "Version of the loaded cost-model calibration (0 = analytic defaults).",
 		func() float64 { return float64(s.cfg.Calibration.Version) })
 	s.reg.GaugeFunc("flexsp_calibration_staleness_seconds", "Seconds since the loaded calibration was fitted (0 when uncalibrated or unstamped).",
@@ -387,14 +371,12 @@ func (s *Server) registerGauges() {
 	s.traced = s.reg.Counter("flexsp_traces_recorded_total", "Request traces recorded in the ring.")
 }
 
-// Registry exposes the daemon's metric registry so embedders (and the
-// flexsp-serve binary) can add their own series to GET /metrics.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// StrategyNames returns the names POST /v2/plan accepts, sorted.
+// StrategyNames returns the names POST /v2/plan accepts, sorted. Every plan
+// state answers the same names.
 func (s *Server) StrategyNames() []string {
-	names := make([]string, 0, len(s.strategies))
-	for name := range s.strategies {
+	st := s.planState()
+	names := append(make([]string, 0, len(st.strategies)+1), "flexsp")
+	for name := range st.strategies {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -417,24 +399,17 @@ func (s *Server) Drain() {
 	}
 }
 
-// Draining reports whether Drain has been called.
-func (s *Server) Draining() bool {
-	return s.draining.Load()
-}
-
 // statusClientGone is nginx's 499 "client closed request": every member of
 // the pass disconnected, so the solve was abandoned and nobody reads the
 // response. It must be non-zero — status 0 marks an abandoned-before-solve
 // pass that joiners retry.
 const statusClientGone = 499
 
-// planFlexSP is the built-in flexsp strategy: one solve on the current plan
-// state's solver, wrapped in the v2 envelope. On an elastic daemon the solve
-// also records its incumbent so the replan loop can repair it after
-// topology changes, and the envelope is flagged degraded while the plan
-// state lags the fleet.
-func (s *Server) planFlexSP(ctx context.Context, spec PlanSpec) (PlanEnvelope, error) {
-	st := s.planState()
+// planFlexSP is the built-in flexsp strategy: one solve on the plan state's
+// solver, wrapped in the v2 envelope. On an elastic daemon the solve also
+// records its incumbent so the replan loop can repair it after topology
+// changes.
+func (s *Server) planFlexSP(ctx context.Context, st *planState, spec PlanSpec) (PlanEnvelope, error) {
 	var res solver.Result
 	var err error
 	if s.cfg.Topology == nil {
@@ -449,69 +424,51 @@ func (s *Server) planFlexSP(ctx context.Context, spec PlanSpec) (PlanEnvelope, e
 	if err != nil {
 		return PlanEnvelope{}, err
 	}
+	return s.flexEnvelope(st, res, spec.Explain), nil
+}
+
+// flexEnvelope wraps a flexsp solve on st in the v2 envelope: the one
+// builder behind POST /v2/plan and stream closes, so both carry the
+// calibration tag and explain the plan alike.
+func (s *Server) flexEnvelope(st *planState, res solver.Result, explain bool) PlanEnvelope {
 	sr := EncodeResult(res)
 	env := PlanEnvelope{
 		Version:          WireVersion,
 		Strategy:         "flexsp",
 		EstTime:          sr.EstTime,
 		SolveWallSeconds: sr.SolveWallSeconds,
-		Degraded:         s.degraded(st),
 		Calibration:      s.cfg.Calibration.Tag,
 		Flat:             &sr,
 	}
-	if env.Degraded {
-		s.met.degradedPlans.Add(1)
-	}
-	if spec.Explain {
+	if explain {
 		env.Explain = ExplainFlat(st.solver.Planner, res, "flexsp")
 		env.Explain.Calibration = s.cfg.Calibration.Tag
 	}
-	return env, nil
-}
-
-// planPipelined is the built-in pipeline strategy over the joint PP×SP
-// planner.
-func (s *Server) planPipelined(ctx context.Context, spec PlanSpec) (PlanEnvelope, error) {
-	st := s.planState()
-	if st.joint == nil {
-		return PlanEnvelope{}, fmt.Errorf("pipelined planning not configured")
-	}
-	res, err := st.joint.SolveContext(ctx, spec.Lengths)
-	if err != nil {
-		return PlanEnvelope{}, err
-	}
-	pr := EncodePipelined(res)
-	env := PlanEnvelope{
-		Version:          WireVersion,
-		Strategy:         "pipeline",
-		EstTime:          pr.EstTime,
-		SolveWallSeconds: pr.SolveWallSeconds,
-		Degraded:         s.degraded(st),
-		Calibration:      s.cfg.Calibration.Tag,
-		Pipelined:        &pr,
-	}
-	if env.Degraded {
-		s.met.degradedPlans.Add(1)
-	}
-	if spec.Explain {
-		env.Explain = ExplainPipelined(st.solver.Planner, res)
-		env.Explain.Calibration = s.cfg.Calibration.Tag
-	}
-	return env, nil
+	return env
 }
 
 // runV2 is the /v2/plan pass: one strategy call, encoded as the full tagged
-// envelope. Successful passes also land in the envelope cache behind
-// GET /v2/cache/{sig}, so fleet peers can reuse this replica's plans after a
-// routing rebalance.
+// envelope. One plan state serves the whole pass: it plans, it decides
+// whether the envelope is degraded, and it stamps the envelope-cache entry
+// behind GET /v2/cache/{sig} (where fleet peers reuse this replica's plans
+// after a routing rebalance), so a replan that lands mid-pass cannot pass an
+// old-fleet plan off as current.
 func (s *Server) runV2(ctx context.Context, job planJob) ([]byte, int) {
 	s.met.solves.Add(1)
 	ctx, span := obs.Start(ctx, "server.pass")
 	defer span.End()
 	span.SetAttr("strategy", job.strategy)
 	span.SetAttr("seqs", len(job.lens))
-	fn := s.strategies[job.strategy] // validated before admission
-	env, err := fn(ctx, PlanSpec{Lengths: job.lens, MaxCtx: job.maxCtx, Explain: job.explain})
+	st := s.planState()
+	spec := PlanSpec{Lengths: job.lens, MaxCtx: job.maxCtx, Explain: job.explain}
+	var env PlanEnvelope
+	var err error
+	if job.strategy == "flexsp" {
+		env, err = s.planFlexSP(ctx, st, spec)
+	} else {
+		// Validated before admission; every plan state answers the same names.
+		env, err = st.strategies[job.strategy](ctx, spec)
+	}
 	switch {
 	case ctx.Err() != nil:
 		span.SetError(ctx.Err())
@@ -520,9 +477,12 @@ func (s *Server) runV2(ctx context.Context, job planJob) ([]byte, int) {
 		span.SetError(err)
 		return encodeJSON(ErrorResponse{Error: err.Error()}), http.StatusUnprocessableEntity
 	}
+	env.Degraded = s.degradedPlan(st)
 	span.SetAttr("est_time", env.EstTime)
 	body := encodeJSON(env)
-	s.storeEnvelope(job, body)
+	if !env.Degraded {
+		s.storeEnvelope(job, st, body)
+	}
 	return body, http.StatusOK
 }
 
@@ -555,7 +515,7 @@ func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("negative maxCtx %d", req.MaxCtx))
 		return
 	}
-	if _, ok := s.strategies[req.Strategy]; !ok {
+	if req.Strategy != "flexsp" && s.planState().strategies[req.Strategy] == nil {
 		s.met.errors.Add(1)
 		if req.Strategy == "pipeline" {
 			writeError(w, http.StatusNotImplemented, "pipelined planning not configured")
@@ -625,7 +585,7 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, job planJob, 
 				root.SetAttr("coalesced", true)
 			}
 			tr.End()
-			s.traces.add(tr)
+			s.traces.Add(tr)
 			s.traced.Inc()
 		}
 		s.logger.Debug("plan request",
@@ -651,7 +611,7 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, job planJob, 
 		// pass sees the failure.
 		s.met.errors.Add(1)
 	}
-	s.met.observeLatency(elapsed.Seconds())
+	s.met.latency.Observe(elapsed.Seconds())
 	finish(code)
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Flexsp-Pass-Size", fmt.Sprint(members))
@@ -706,7 +666,6 @@ func (s *Server) admitAs(tenant string, allowDrain bool) (release func(), status
 // consecutive reads agree), so the response is point-in-time consistent
 // against concurrent solves.
 func (s *Server) Metrics() MetricsResponse {
-	p50, p99 := s.met.lat.percentiles()
 	cache := s.cacheStats()
 	return MetricsResponse{
 		UptimeSeconds:    time.Since(s.start).Seconds(),
@@ -720,8 +679,8 @@ func (s *Server) Metrics() MetricsResponse {
 		Errors:           s.met.errors.Value(),
 		QueueDepth:       int64(len(s.sem)),
 		QueueLimit:       s.cfg.QueueLimit,
-		LatencyP50Millis: 1e3 * p50,
-		LatencyP99Millis: 1e3 * p99,
+		LatencyP50Millis: 1e3 * s.met.latency.Quantile(0.50),
+		LatencyP99Millis: 1e3 * s.met.latency.Quantile(0.99),
 		Cache:            cache,
 		CacheHitRate:     cache.HitRate(),
 		Solver:           s.solverMetrics(),
@@ -760,14 +719,10 @@ func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotImplemented, "request tracing disabled")
 		return
 	}
-	ids := s.traces.list()
-	if ids == nil {
-		ids = []string{}
-	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(encodeJSON(struct {
 		Traces []string `json:"traces"`
-	}{Traces: ids}))
+	}{Traces: s.traces.List()}))
 }
 
 // handleTrace serves one completed request's Chrome-trace JSON, loadable in
@@ -777,7 +732,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotImplemented, "request tracing disabled")
 		return
 	}
-	body, ok := s.traces.get(r.PathValue("id"))
+	body, ok := s.traces.Get(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "trace not found (the ring keeps recent requests only)")
 		return

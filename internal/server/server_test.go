@@ -29,13 +29,32 @@ func testSolver() *solver.Solver {
 	return solver.New(planner.New(testCoeffs()))
 }
 
+// pipelineStrategy serves the pipeline strategy from a joint PP×SP planner,
+// standing in for the facade's registry entry.
+func pipelineStrategy(jp *pipeline.Planner) StrategyFunc {
+	return func(ctx context.Context, spec PlanSpec) (PlanEnvelope, error) {
+		res, err := jp.SolveContext(ctx, spec.Lengths)
+		if err != nil {
+			return PlanEnvelope{}, err
+		}
+		pr := EncodePipelined(res)
+		return PlanEnvelope{Version: WireVersion, Strategy: "pipeline", EstTime: pr.EstTime,
+			SolveWallSeconds: pr.SolveWallSeconds, Pipelined: &pr}, nil
+	}
+}
+
+// testStrategies is the strategy table of a test daemon on testCoeffs.
+func testStrategies() map[string]StrategyFunc {
+	return map[string]StrategyFunc{"pipeline": pipelineStrategy(pipeline.NewPlanner(testCoeffs()))}
+}
+
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.Solver == nil {
 		cfg.Solver = testSolver()
 	}
-	if cfg.Joint == nil {
-		cfg.Joint = pipeline.NewPlanner(testCoeffs())
+	if cfg.Strategies == nil {
+		cfg.Strategies = testStrategies()
 	}
 	s, err := New(cfg)
 	if err != nil {

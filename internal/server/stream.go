@@ -94,10 +94,11 @@ type streamSession struct {
 	id     string
 	tenant string
 	st     *solver.Stream
-	// sv is the solver the session pinned at open: a topology replan mid-
-	// session must not strand the stream's speculative state on a retired
-	// solver, so appends and the final close stay on this one.
-	sv    *solver.Solver
+	// state is the plan state the session pinned at open: a topology replan
+	// mid-session must not strand the stream's speculative state on a
+	// retired solver, so appends and the final close stay on its solver, and
+	// the close is flagged degraded like any plan from a lagging state.
+	state *planState
 	timer *time.Timer
 }
 
@@ -149,8 +150,8 @@ func (s *Server) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 		cfg.Watermarks = s.cfg.StreamWatermarks
 	}
 	id := obs.NewRequestID()
-	sv := s.planState().solver
-	sess := &streamSession{id: id, tenant: req.Tenant, st: solver.NewStream(sv, cfg), sv: sv}
+	state := s.planState()
+	sess := &streamSession{id: id, tenant: req.Tenant, st: solver.NewStream(state.solver, cfg), state: state}
 
 	s.streamMu.Lock()
 	if len(s.streams) >= s.cfg.StreamLimit {
@@ -334,29 +335,21 @@ func (s *Server) handleStreamClose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.planAfterClose.Observe(wall.Seconds())
-	s.met.observeLatency(wall.Seconds())
+	s.met.latency.Observe(wall.Seconds())
 
-	sr := EncodeResult(res)
-	env := PlanEnvelope{
-		Version:  WireVersion,
-		Strategy: "flexsp",
-		EstTime:  sr.EstTime,
-		// The envelope's top-level wall is the plan-after-close latency —
-		// what the streaming mode optimizes; the flat section keeps the
-		// underlying solve's own wall.
-		SolveWallSeconds: wall.Seconds(),
-		Flat:             &sr,
-		Stream: &StreamStatsJSON{
-			Appended:     stats.Appended,
-			Speculations: stats.Speculations,
-			Skipped:      stats.Skipped,
-			Superseded:   stats.Superseded,
-			Reused:       stats.Reused,
-			WarmHits:     stats.WarmHits,
-		},
-	}
-	if req.Explain {
-		env.Explain = ExplainFlat(sess.sv.Planner, res, "flexsp")
+	env := s.flexEnvelope(sess.state, res, req.Explain)
+	// The envelope's top-level wall is the plan-after-close latency — what
+	// the streaming mode optimizes; the flat section keeps the underlying
+	// solve's own wall.
+	env.SolveWallSeconds = wall.Seconds()
+	env.Degraded = s.degradedPlan(sess.state)
+	env.Stream = &StreamStatsJSON{
+		Appended:     stats.Appended,
+		Speculations: stats.Speculations,
+		Skipped:      stats.Skipped,
+		Superseded:   stats.Superseded,
+		Reused:       stats.Reused,
+		WarmHits:     stats.WarmHits,
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(encodeJSON(env))

@@ -82,9 +82,6 @@ type StreamConfig struct {
 	// Disabled turns speculation off entirely: Close runs a plain cold
 	// solve, byte-identical to SolveContext on the accumulated batch.
 	Disabled bool
-	// MinSpeculate floors growth-triggered speculation (default
-	// DefaultMinSpeculate).
-	MinSpeculate int
 	// Observe, when non-nil, receives one call per StreamEvent* constant as
 	// the session speculates, skips, supersedes and reuses.
 	Observe func(event string)
@@ -147,9 +144,6 @@ type speculation struct {
 func NewStream(s *Solver, cfg StreamConfig) *Stream {
 	if len(cfg.Watermarks) == 0 {
 		cfg.Watermarks = DefaultWatermarks
-	}
-	if cfg.MinSpeculate <= 0 {
-		cfg.MinSpeculate = DefaultMinSpeculate
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	st := &Stream{s: s, cfg: cfg, ctx: ctx, cancel: cancel}
@@ -221,7 +215,7 @@ func (st *Stream) shouldSpeculateLocked(total int) bool {
 		}
 		return fired
 	}
-	if st.cfg.Expect <= 0 && total < st.cfg.MinSpeculate {
+	if st.cfg.Expect <= 0 && total < DefaultMinSpeculate {
 		return false
 	}
 	if st.lastSpec > 0 && total < st.lastSpec+(st.lastSpec+1)/2 {
@@ -412,14 +406,6 @@ func (st *Stream) Stats() StreamStats {
 	return st.stats
 }
 
-// Incumbent returns the latest completed speculative incumbent (nil before
-// the first speculation completes) — exportable state for session handoff.
-func (st *Stream) Incumbent() *Incumbent {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.inc
-}
-
 func (st *Stream) observe(ev string) {
 	if st.cfg.Observe != nil {
 		st.cfg.Observe(ev)
@@ -438,74 +424,9 @@ type Incumbent struct {
 	warmHits int
 }
 
-// Best returns the incumbent's solve result.
-func (inc *Incumbent) Best() Result { return inc.res }
-
 // WarmHits returns how many micro-batches the warm store satisfied while
 // producing this incumbent.
 func (inc *Incumbent) WarmHits() int { return inc.warmHits }
-
-// IncumbentState is the serializable form of an Incumbent (see
-// Incumbent.Export / ImportIncumbent): enough to migrate an in-progress
-// streaming session's warm-start state between processes.
-type IncumbentState struct {
-	// Sig is the exact (granularity-1) signature of the batch the incumbent
-	// solved.
-	Sig []int32 `json:"sig"`
-	// Result is the incumbent's solve result.
-	Result Result `json:"result"`
-	// Micro is the exact-signature micro-plan warm store.
-	Micro []IncumbentMicro `json:"micro,omitempty"`
-	// WarmHits mirrors Incumbent.WarmHits.
-	WarmHits int `json:"warmHits,omitempty"`
-}
-
-// IncumbentMicro is one warm-store entry on the wire.
-type IncumbentMicro struct {
-	Sig  []int32           `json:"sig"`
-	Plan planner.MicroPlan `json:"plan"`
-}
-
-// Export snapshots the incumbent for serialization. Entries are ordered by
-// signature hash, so the export is deterministic.
-func (inc *Incumbent) Export() IncumbentState {
-	st := IncumbentState{
-		Sig:      append([]int32(nil), inc.sig...),
-		Result:   inc.res,
-		WarmHits: inc.warmHits,
-	}
-	if inc.store != nil {
-		inc.store.mu.Lock()
-		keys := make([]uint64, 0, len(inc.store.m))
-		for k := range inc.store.m {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, k := range keys {
-			e := inc.store.m[k]
-			st.Micro = append(st.Micro, IncumbentMicro{Sig: e.sig, Plan: e.plan})
-		}
-		inc.store.mu.Unlock()
-	}
-	return st
-}
-
-// ImportIncumbent rebuilds an Incumbent from its exported state, recomputing
-// the signature hashes (the state carries signatures, not hashes, so a
-// corrupted or hand-written state cannot alias a different batch).
-func ImportIncumbent(state IncumbentState) *Incumbent {
-	inc := &Incumbent{
-		sig:      append([]int32(nil), state.Sig...),
-		key:      sigHash(state.Sig),
-		res:      state.Result,
-		store:    newMicroStore(),
-		warmHits: state.WarmHits,
-	}
-	for _, m := range state.Micro {
-		inc.store.put(m.Sig, sigHash(m.Sig), m.Plan)
-	}
-	return inc
-}
 
 // SolveWarm is SolveContext warm-started from a previous (typically
 // speculative) solve's incumbent. The returned plans are byte-identical to a

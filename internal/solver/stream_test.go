@@ -55,7 +55,10 @@ func waitIncumbent(t *testing.T, st *Stream) *Incumbent {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if inc := st.Incumbent(); inc != nil {
+		st.mu.Lock()
+		inc := st.inc
+		st.mu.Unlock()
+		if inc != nil {
 			return inc
 		}
 		time.Sleep(time.Millisecond)
@@ -113,7 +116,7 @@ func TestSolveWarmWholeBatchReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g, w := plansJSON(t, res), plansJSON(t, inc.Best()); g != w {
+	if g, w := plansJSON(t, res), plansJSON(t, inc.res); g != w {
 		t.Fatalf("whole-batch reuse did not return the incumbent result:\n%s\n%s", g, w)
 	}
 	// The reuse path publishes the final plans (publishStore).
@@ -242,55 +245,6 @@ func TestStreamDisabledMatchesCold(t *testing.T) {
 	}
 }
 
-func TestIncumbentExportImportRoundtrip(t *testing.T) {
-	batch := streamBatch(19, 64)
-	cold := newStreamSolver()
-	want, err := cold.SolveContext(context.Background(), batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	a := newStreamSolver()
-	_, inc, err := a.solveWarm(context.Background(), batch[:48], nil, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	state := inc.Export()
-	buf, err := json.Marshal(state)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded IncumbentState
-	if err := json.Unmarshal(buf, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	// A second export must be deterministic (entries ordered).
-	buf2, err := json.Marshal(inc.Export())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != string(buf2) {
-		t.Fatal("incumbent export is not deterministic")
-	}
-
-	// The imported incumbent warm-starts a different solver process.
-	b := newStreamSolver()
-	imported := ImportIncumbent(decoded)
-	if imported.key != inc.key || !SigsEqual(imported.sig, inc.sig) {
-		t.Fatal("imported incumbent signature differs")
-	}
-	got, inc2, err := b.SolveWarm(context.Background(), batch, imported)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inc2.WarmHits() == 0 {
-		t.Fatal("imported incumbent store produced no warm hits")
-	}
-	if g, w := plansJSON(t, got), plansJSON(t, want); g != w {
-		t.Fatalf("import-warmed plans diverge from cold:\n%s\n%s", g, w)
-	}
-}
-
 func TestStreamClosedErrors(t *testing.T) {
 	s := newStreamSolver()
 	st := NewStream(s, StreamConfig{Disabled: true})
@@ -340,7 +294,7 @@ func TestStreamGrowthTriggerWithoutExpect(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	// 8 (MinSpeculate), then +50% growth: 12, 18, 27, 41, 62.
+	// 8 (DefaultMinSpeculate), then +50% growth: 12, 18, 27, 41, 62.
 	if specs < 3 {
 		t.Fatalf("growth trigger speculated %d times, want >= 3", specs)
 	}

@@ -169,9 +169,11 @@ func Strategies() []string {
 // Registered strategies are dispatched by System.Plan and, for servers built
 // after registration, served by POST /v2/plan. Names are case-insensitive
 // (stored lowercased) and must be non-empty; fn must be non-nil. The
-// built-in flexsp and pipeline strategies cannot be replaced — the daemon
-// implements them natively on its solver and joint planner, so an override
-// would make the same name dispatch differently in-process and over HTTP.
+// built-in flexsp and pipeline strategies cannot be replaced. The daemon
+// plans flexsp itself, on its own solver, so an override would make that
+// name dispatch differently in-process and over HTTP. Pipeline is the
+// strategy Config.Pipeline configures and the one name the daemon reserves
+// (answering 501 where it is absent), so it keeps one meaning everywhere.
 func RegisterStrategy(name string, fn StrategyFunc) error {
 	name = strings.ToLower(name)
 	if name == "" {
