@@ -71,11 +71,12 @@ func TestExplainQuickstartGolden(t *testing.T) {
 }
 
 // TestExplainRender sanity-checks the human rendering: strategy header, the
-// chosen trial marked, and per-group rows for the critical micro-batch.
+// chosen trial marked, a trial the bounded walk pruned with its bound, and
+// per-group rows for the critical micro-batch.
 func TestExplainRender(t *testing.T) {
 	ex := quickstartPlan(t).Explain()
 	out := ex.Render()
-	for _, want := range []string{"strategy flexsp", "(chosen)", "SP="} {
+	for _, want := range []string{"strategy flexsp", "(chosen)", "M=7 pruned (≥20.37s)", "SP="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Render output missing %q:\n%s", want, out)
 		}

@@ -15,8 +15,8 @@
 // When no trace is installed Start returns a nil span whose methods are
 // no-ops, so instrumented hot paths pay one context lookup and nothing else —
 // the solver and planner benchmarks must not regress with tracing disabled.
-// Spans are safe for concurrent use: the parallel branch-and-bound and the
-// solver's worker pools attach children to one parent from many goroutines.
+// Spans are safe for concurrent use: the parallel branch-and-bound attaches
+// children to one parent from many goroutines.
 package obs
 
 import (

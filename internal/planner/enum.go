@@ -43,7 +43,11 @@ func (pl *Planner) planEnum(ctx context.Context, lens []int) (MicroPlan, error) 
 	if minDeg == 0 {
 		return MicroPlan{}, ErrInfeasible
 	}
-	items := itemsFromBuckets(pl.bucketize(lens))
+	buckets := pl.bucketize(lens)
+	if overCapacity(buckets, pr.TokenCapacity()) {
+		return MicroPlan{}, ErrInfeasible
+	}
+	items := itemsFromBuckets(buckets)
 	top := refineTop
 
 	type cand struct {

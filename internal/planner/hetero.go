@@ -65,6 +65,9 @@ func (pl *Planner) planPlacedMILP(ctx context.Context, lens []int) (MicroPlan, e
 	pr := pl.Pricing()
 	n := pr.Fleet.Topo.NumDevices()
 	buckets := pl.bucketize(lens)
+	if overCapacity(buckets, pr.TokenCapacity()) {
+		return MicroPlan{}, ErrInfeasible
+	}
 	k := len(lens)
 
 	type slot struct {

@@ -20,6 +20,9 @@ func (pl *Planner) planMILP(ctx context.Context, lens []int) (MicroPlan, error) 
 	c := pl.Coeffs
 	n := c.Topo.NumDevices()
 	buckets := pl.bucketize(lens)
+	if overCapacity(buckets, pl.TokenCapacity()) {
+		return MicroPlan{}, ErrInfeasible
+	}
 	k := len(lens)
 
 	// Virtual groups: every degree with up to min(N/d, K) copies —

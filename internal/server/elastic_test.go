@@ -256,11 +256,11 @@ func TestReplanFlapKeepsSolver(t *testing.T) {
 	}
 }
 
-// TestStreamCloseAfterReplan pins that a stream session keeps the plan state
-// it opened on and closes through the flexsp envelope builder: closed after a
-// replan it opened before, its plan is for the previous fleet view, so the
-// envelope says degraded, and it carries the daemon's calibration tag in the
-// envelope and in explain like POST /v2/plan does.
+// TestStreamCloseAfterReplan pins that a stream session closed after a
+// replan it opened before is planned on the live fleet: the envelope is not
+// degraded, every group fits the 24 devices left after the node loss, and it
+// carries the daemon's calibration tag in the envelope and in explain like
+// POST /v2/plan does.
 func TestStreamCloseAfterReplan(t *testing.T) {
 	const tag = "v3 (x)"
 	s, ts, _ := newElasticServer(t, 4, Config{ReplanDebounce: time.Millisecond,
@@ -282,11 +282,26 @@ func TestStreamCloseAfterReplan(t *testing.T) {
 	if err := json.Unmarshal(body, &closed); err != nil {
 		t.Fatal(err)
 	}
-	if !closed.Degraded {
-		t.Error("close of a session opened before the replan not flagged degraded")
+	if closed.Degraded {
+		t.Error("close after the replan flagged degraded")
 	}
-	if got := s.Metrics().Topology.DegradedPlans; got != 1 {
-		t.Errorf("degraded_plans = %d, want 1", got)
+	if got := s.Metrics().Topology.DegradedPlans; got != 0 {
+		t.Errorf("degraded_plans = %d, want 0", got)
+	}
+	if closed.Flat == nil || len(closed.Flat.Micro) == 0 {
+		t.Fatalf("close returned no flat plan: %s", body)
+	}
+	for _, mp := range closed.Flat.Micro {
+		used := 0
+		for _, g := range mp.Groups {
+			used += g.Degree
+			if g.Size > 0 && g.Start+g.Size > 24 {
+				t.Errorf("group %+v lies outside the 24 live devices", g)
+			}
+		}
+		if used > 24 {
+			t.Errorf("micro-batch uses %d devices, 24 are live", used)
+		}
 	}
 	plan := postPlanEnvelope(t, ts.URL, PlanRequest{Lengths: testBatch, Explain: true})
 	for what, env := range map[string]PlanEnvelope{"stream close": closed, "/v2/plan": plan} {

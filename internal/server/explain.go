@@ -35,7 +35,8 @@ type ExplainJSON struct {
 	// attachment small at large M.
 	Micro []MicroExplainJSON `json:"micro,omitempty"`
 	// Trials are the rejected alternatives of Alg. 1's M-window: every
-	// explored micro-batch count with its estimate or failure reason.
+	// explored micro-batch count with its estimate, its failure reason, or
+	// the lower bound that got it abandoned before it was fully planned.
 	Trials []solver.TrialSummary `json:"trials,omitempty"`
 	// Candidates are the swept PP degrees of the joint planner.
 	Candidates []CandidateJSON `json:"candidates,omitempty"`
@@ -236,6 +237,10 @@ func (e *ExplainJSON) Render() string {
 	if len(e.Trials) > 0 {
 		b.WriteString("  trials:")
 		for _, t := range e.Trials {
+			if t.Pruned {
+				fmt.Fprintf(&b, " M=%d pruned (≥%.2fs)", t.M, t.Bound)
+				continue
+			}
 			if !t.Feasible {
 				fmt.Fprintf(&b, " M=%d infeasible", t.M)
 				continue

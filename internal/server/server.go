@@ -330,7 +330,7 @@ func (s *Server) registerGauges() {
 		func() float64 { return float64(s.cacheStats().Hits) })
 	s.reg.CounterFunc("flexsp_plan_cache_misses_total", "Plan cache misses.",
 		func() float64 { return float64(s.cacheStats().Misses) })
-	s.reg.CounterFunc("flexsp_plan_cache_dedups_total", "In-flight plan deduplications.",
+	s.reg.CounterFunc("flexsp_plan_cache_dedups_total", "Micro-batches answered by a repeat within one solve.",
 		func() float64 { return float64(s.cacheStats().Dedups) })
 	s.reg.CounterFunc("flexsp_plan_cache_evictions_total", "Plan cache evictions.",
 		func() float64 { return float64(s.cacheStats().Evictions) })
@@ -342,7 +342,7 @@ func (s *Server) registerGauges() {
 		func() float64 { return float64(s.solverMetrics().Canceled) })
 	s.reg.CounterFunc("flexsp_solver_planned_total", "Micro-batches that reached the planner.",
 		func() float64 { return float64(s.solverMetrics().Planned) })
-	s.reg.CounterFunc("flexsp_solver_deduped_total", "Micro-batches served by in-flight dedup.",
+	s.reg.CounterFunc("flexsp_solver_deduped_total", "Micro-batches answered by a repeat within one solve.",
 		func() float64 { return float64(s.solverMetrics().Deduped) })
 	s.reg.CounterFunc("flexsp_solver_skipped_total", "Speculative solves skipped by the cache probe.",
 		func() float64 { return float64(s.solverMetrics().Skipped) })

@@ -94,10 +94,11 @@ type streamSession struct {
 	id     string
 	tenant string
 	st     *solver.Stream
-	// state is the plan state the session pinned at open: a topology replan
-	// mid-session must not strand the stream's speculative state on a
-	// retired solver, so appends and the final close stay on its solver, and
-	// the close is flagged degraded like any plan from a lagging state.
+	// state is the plan state the session pinned at open: appends speculate
+	// on its solver. A close after a replan has landed solves the session's
+	// lengths on the live plan state instead; a close inside the debounce
+	// window, before the replan, stays on the pinned state and is flagged
+	// degraded like any plan from a lagging state.
 	state *planState
 	timer *time.Timer
 }
@@ -272,9 +273,10 @@ func (s *Server) handleStreamAppend(w http.ResponseWriter, r *http.Request) {
 
 // handleStreamClose serves POST /v2/stream/{id}/close: seal the session and
 // return the final plan envelope, warm-started from (or served by) the
-// speculative incumbent. The solve passes normal queue/tenant admission but
-// bypasses the drain refusal — the session was admitted at open, and drain
-// must let it finish.
+// speculative incumbent — or, when a replan has landed since the session
+// opened, solved cold on the live plan state. The solve passes normal
+// queue/tenant admission but bypasses the drain refusal — the session was
+// admitted at open, and drain must let it finish.
 func (s *Server) handleStreamClose(w http.ResponseWriter, r *http.Request) {
 	var req StreamCloseRequest
 	if !decodeOptional(w, r, &req, &s.met) {
@@ -310,7 +312,22 @@ func (s *Server) handleStreamClose(w http.ResponseWriter, r *http.Request) {
 	span.SetAttr("session", id)
 	span.SetAttr("seqs", sess.st.Len())
 	closeStart := time.Now()
-	res, err := sess.st.Close(ctx)
+	state := sess.state
+	if live := s.planState(); live.snap.Version > state.snap.Version {
+		state = live
+	}
+	var res solver.Result
+	var err error
+	if state.solver != sess.state.solver {
+		// A replan rebuilt the solver since the session opened, and the
+		// session's speculation planned for the retired fleet view: give it
+		// up and solve the batch on the live plan state, as /v2/plan would.
+		sess.st.Cancel()
+		span.SetAttr("replanned", true)
+		res, err = state.solver.SolveContext(ctx, sess.st.Lengths())
+	} else {
+		res, err = sess.st.Close(ctx)
+	}
 	wall := time.Since(closeStart)
 	stats := sess.st.Stats()
 	span.SetAttr("reused", stats.Reused)
@@ -337,12 +354,12 @@ func (s *Server) handleStreamClose(w http.ResponseWriter, r *http.Request) {
 	s.met.planAfterClose.Observe(wall.Seconds())
 	s.met.latency.Observe(wall.Seconds())
 
-	env := s.flexEnvelope(sess.state, res, req.Explain)
+	env := s.flexEnvelope(state, res, req.Explain)
 	// The envelope's top-level wall is the plan-after-close latency — what
 	// the streaming mode optimizes; the flat section keeps the underlying
 	// solve's own wall.
 	env.SolveWallSeconds = wall.Seconds()
-	env.Degraded = s.degradedPlan(sess.state)
+	env.Degraded = s.degradedPlan(state)
 	env.Stream = &StreamStatsJSON{
 		Appended:     stats.Appended,
 		Speculations: stats.Speculations,

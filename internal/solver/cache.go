@@ -22,8 +22,8 @@ import (
 // rounding up keeps reuse safe).
 //
 // The cache is sharded: entries map to one of 16 independently locked LRU
-// shards by a 64-bit FNV-1a hash of the rounded signature, so the concurrent
-// planners of one solve (and of overlapping solves in a Service) never
+// shards by a 64-bit FNV-1a hash of the rounded signature, so overlapping
+// solves (a Service's workers, a daemon's concurrent requests) never
 // serialize on a single mutex. Hash collisions are detected by comparing the
 // stored signature. Hit/miss/dedup/eviction counters are exposed via Stats
 // and Metrics.
@@ -91,8 +91,8 @@ func (pc *PlanCache) signature(lens []int) ([]int32, uint64) {
 
 // Signature returns the canonical exact-length signature of a batch — the
 // sorted length multiset and its FNV-1a hash. It is the one construction
-// shared by the plan cache (at its rounding granularity), the in-flight
-// singleflight keys, and the serving layer's request-batching pass keys, so
+// shared by the plan cache (at its rounding granularity), a solve's repeat
+// memo and warm store, and the serving layer's request-batching pass keys, so
 // "the same batch" means the same thing at every reuse point. Compare the
 // returned signatures on hash equality to rule out collisions.
 func Signature(lens []int) ([]int32, uint64) {
@@ -100,7 +100,7 @@ func Signature(lens []int) ([]int32, uint64) {
 }
 
 // roundedSig is the one canonical signature construction shared by the cache
-// and the singleflight keys (granularity 1 keeps exact lengths): lengths
+// and the exact-signature memos (granularity 1 keeps exact lengths): lengths
 // rounded up to the granularity, sorted, with their FNV-1a hash.
 func roundedSig(lens []int, granularity int) ([]int32, uint64) {
 	sig := make([]int32, len(lens))
@@ -151,47 +151,57 @@ func SigsEqual(a, b []int32) bool {
 // The returned plan assigns the actual sequences following the cached plan's
 // group shape (k-th longest sequence goes where the cached k-th longest
 // went), then re-validates and re-estimates it under pr, each group priced
-// by its device range like a fresh plan.
+// by its device range like a fresh plan. A hit is only counted once the
+// retargeted plan is accepted: a lookup whose entry fails re-validation
+// behaves as a miss (the caller plans from scratch), so it counts as one.
 func (pc *PlanCache) Get(pr costmodel.Pricing, lens []int) (planner.MicroPlan, bool) {
-	sig, key := pc.signature(lens)
-	return pc.getWithSig(pr, lens, sig, key)
+	p, ok := pc.lookup(pr, lens, true)
+	if ok {
+		pc.hits.Add(1)
+	} else {
+		pc.misses.Add(1)
+	}
+	return p, ok
 }
 
-// getWithSig is Get with the signature precomputed (the solve hot path
-// computes it once and shares it with the singleflight key). A hit is only
-// counted once the retargeted plan is accepted: a lookup whose entry fails
-// re-validation behaves as a miss (the caller plans from scratch), so it
-// counts as one.
-func (pc *PlanCache) getWithSig(pr costmodel.Pricing, lens []int, sig []int32, key uint64) (planner.MicroPlan, bool) {
+// peek is Get without side effects: no LRU move and no hit or miss counted
+// (Solver.CacheCovers probes the cache with it).
+func (pc *PlanCache) peek(pr costmodel.Pricing, lens []int) (planner.MicroPlan, bool) {
+	return pc.lookup(pr, lens, false)
+}
+
+// lookup returns the plan cached under the micro-batch's rounded signature,
+// retargeted onto its exact lengths, and moves the entry to the front of its
+// shard's LRU when touch is set.
+func (pc *PlanCache) lookup(pr costmodel.Pricing, lens []int, touch bool) (planner.MicroPlan, bool) {
+	sig, key := pc.signature(lens)
 	sh := pc.shard(key)
 	sh.mu.Lock()
 	el, ok := sh.entries[key]
+	ok = ok && SigsEqual(el.Value.(*cacheEntry).sig, sig) // a hash collision is a miss
 	var cached planner.MicroPlan
 	if ok {
-		ent := el.Value.(*cacheEntry)
-		if !SigsEqual(ent.sig, sig) {
-			ok = false // hash collision: treat as miss
-		} else {
+		cached = el.Value.(*cacheEntry).plan
+		if touch {
 			sh.lru.MoveToFront(el)
-			cached = ent.plan
 		}
 	}
 	sh.mu.Unlock()
 	if !ok {
-		pc.misses.Add(1)
 		return planner.MicroPlan{}, false
 	}
+	return retarget(pr, lens, cached)
+}
 
-	// Re-target: both length lists sorted descending have equal size by key
-	// construction; map position-wise.
+// retarget re-creates the cached plan's shape on the exact lengths: both
+// length lists, sorted descending, have equal size by key construction, and
+// the k-th longest actual sequence goes to the group that held the k-th
+// longest cached one. Placement carries over: each group is checked and
+// timed against the range it occupies. It fails on the rounding edge case
+// where a group no longer fits, and the caller plans from scratch.
+func retarget(pr costmodel.Pricing, lens []int, cached planner.MicroPlan) (planner.MicroPlan, bool) {
 	sorted := append([]int(nil), lens...)
 	sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
-	var out planner.MicroPlan
-	at := 0
-	// Re-create the cached plan's shape on the new lengths: flatten the
-	// cached (group, length) pairs, order by descending cached length, and
-	// hand the k-th longest actual sequence to the group that held the
-	// k-th longest cached one.
 	type memberRef struct {
 		group  int
 		cached int
@@ -204,21 +214,14 @@ func (pc *PlanCache) getWithSig(pr costmodel.Pricing, lens []int, sig []int32, k
 	}
 	sort.SliceStable(refs, func(i, j int) bool { return refs[i].cached > refs[j].cached })
 	groupLens := make([][]int, len(cached.Groups))
-	for _, r := range refs {
+	for at, r := range refs {
 		groupLens[r.group] = append(groupLens[r.group], sorted[at])
-		at++
 	}
-	// Placement carries over: the cached plan's device ranges stay valid for
-	// the re-targeted lengths, and each group is checked and timed against
-	// the range it occupies.
-	out.Groups = make([]planner.Group, 0, len(cached.Groups))
+	out := planner.MicroPlan{Groups: make([]planner.Group, 0, len(cached.Groups))}
 	for gi, g := range cached.Groups {
 		ng := planner.Group{Degree: g.Degree, Lens: groupLens[gi], Range: g.Range}
 		c := pr.Group(ng.Range)
 		if !c.Fits(ng.Lens, ng.Degree) {
-			// Rounding edge case: the retarget is rejected and the caller
-			// plans from scratch, so this lookup was a miss.
-			pc.misses.Add(1)
 			return planner.MicroPlan{}, false
 		}
 		out.Groups = append(out.Groups, ng)
@@ -226,7 +229,6 @@ func (pc *PlanCache) getWithSig(pr costmodel.Pricing, lens []int, sig []int32, k
 			out.Time = t
 		}
 	}
-	pc.hits.Add(1)
 	return out, true
 }
 
@@ -256,21 +258,8 @@ func (pc *PlanCache) Put(lens []int, p planner.MicroPlan) {
 	}
 }
 
-// Contains reports whether the cache holds an entry for the micro-batch's
-// signature. Unlike Get it is a pure probe: no LRU reordering, no retarget,
-// and no hit/miss counting — streaming sessions use it to decide whether a
-// speculative solve would only re-derive cached plans (Solver.CacheCovers).
-func (pc *PlanCache) Contains(lens []int) bool {
-	sig, key := pc.signature(lens)
-	sh := pc.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	el, ok := sh.entries[key]
-	return ok && SigsEqual(el.Value.(*cacheEntry).sig, sig)
-}
-
-// noteDedup records one in-flight deduplication (a plan shared between
-// concurrent identical micro-batch signatures instead of being recomputed).
+// noteDedup records one repeat within a solve: a micro-batch answered by the
+// plan of an identical one planned earlier in the same solve.
 func (pc *PlanCache) noteDedup() { pc.dedups.Add(1) }
 
 // Stats reports cache hits and misses.
@@ -280,8 +269,10 @@ func (pc *PlanCache) Stats() (hits, misses int) {
 
 // CacheStats is a point-in-time snapshot of the cache counters.
 type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
+	// Dedups counts repeats within one solve: micro-batches answered by an
+	// identical one planned earlier in the same solve, without a lookup.
 	Dedups    int64 `json:"dedups"`
 	Evictions int64 `json:"evictions"`
 	Entries   int   `json:"entries"`

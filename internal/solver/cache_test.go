@@ -105,8 +105,8 @@ func TestPlanCacheShardedLimit(t *testing.T) {
 	}
 }
 
-// Concurrent solves of batches with overlapping micro-batch signatures must
-// record dedups (singleflight) and keep the hit rate accounting consistent.
+// A solve whose trials share micro-batches must keep the hit rate accounting
+// consistent.
 func TestPlanCacheDedupStats(t *testing.T) {
 	c := costmodel.Profile(costmodel.GPT7B, cluster.A100Cluster(64))
 	s := New(planner.New(c))

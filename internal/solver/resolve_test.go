@@ -13,7 +13,7 @@ import (
 )
 
 // elasticFixture is an elastic A100 fleet plus a solver factory producing a
-// sequential (deterministic-byte-order) hetero solver for any snapshot.
+// hetero solver with a plan cache for any snapshot.
 func elasticFixture(t *testing.T, nodes int) (*cluster.Elastic, func(cluster.Snapshot) (*Solver, costmodel.HeteroCoeffs)) {
 	t.Helper()
 	m, err := cluster.MixedCluster(cluster.ClassCount{Class: cluster.A100_40G, Devices: nodes * 8})
@@ -27,10 +27,6 @@ func elasticFixture(t *testing.T, nodes int) (*cluster.Elastic, func(cluster.Sna
 	mk := func(snap cluster.Snapshot) (*Solver, costmodel.HeteroCoeffs) {
 		h := costmodel.ProfileMixed(costmodel.GPT7B, snap.Mixed)
 		s := New(planner.NewHetero(h))
-		// Parallel trials interleave shared-cache writes, which is plan-
-		// equivalent but not byte-deterministic across solver instances;
-		// byte-identity assertions need sequential solves.
-		s.Parallel = false
 		s.Cache = NewPlanCache(4096, 256)
 		return s, h
 	}
@@ -152,13 +148,11 @@ func TestResolveColdFallbacks(t *testing.T) {
 
 	// Scalar (unplaced) solver: no placement to repair, cold.
 	scalar := New(planner.New(costmodel.Profile(costmodel.GPT7B, cluster.A100Cluster(32))))
-	scalar.Parallel = false
 	_, sinc, err := scalar.SolveWarm(ctx, batch, nil)
 	if err != nil {
 		t.Fatalf("scalar SolveWarm: %v", err)
 	}
 	scalar2 := New(planner.New(costmodel.Profile(costmodel.GPT7B, cluster.A100Cluster(32))))
-	scalar2.Parallel = false
 	if _, _, stats, err := scalar2.Resolve(ctx, batch, sinc, snap0, snap1, ResolveOptions{}); err != nil || !stats.Cold {
 		t.Fatalf("scalar incumbent: cold=%v err=%v", stats.Cold, err)
 	}

@@ -5,25 +5,33 @@
 // the parallelism planner (internal/planner), and returns the plan sequence
 // with the smallest total estimated time.
 //
-// Like the paper's implementation it is two-level parallel — micro-batch
-// counts and micro-batches are solved concurrently, on a worker pool bounded
-// by the machine's parallelism — and the Service type disaggregates solving
-// from execution (§5): plans for future batches are computed in the
-// background and handed to the executor in order. Identical micro-batch
-// signatures in flight at once (adjacent M trials frequently blast out the
-// same bucketed batch) are planned once and shared.
+// The window is walked as a branch and bound, the one problem (17)'s MILP
+// applies inside a micro-batch lifted to micro-batch counts: trials run in M
+// order, each plans its micro-batches largest lower bound first
+// (planner.LowerBound), and a trial is abandoned once its planned time plus
+// the bounds of its unplanned micro-batches exceeds the best complete trial.
+// The walk picks the same M and plans as planning the whole window would,
+// without planning most of a losing trial. Micro-batches that the plan
+// cache, a streaming session's warm store or an earlier trial of the same
+// solve already answer skip the planner.
+//
+// One solve runs on its caller's goroutine. Parallelism lives a level up:
+// the Service type disaggregates solving from execution (§5), solving future
+// batches in the background and handing plans to the executor in order, and
+// the daemon solves concurrent requests side by side.
 package solver
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
+	"sort"
 	"sync/atomic"
 	"time"
 
 	"flexsp/internal/blaster"
+	"flexsp/internal/costmodel"
 	"flexsp/internal/obs"
 	"flexsp/internal/planner"
 )
@@ -37,12 +45,6 @@ type Solver struct {
 	// Sort controls the sequence-sorting step of the blaster (takeaway #2);
 	// disabled only by the Fig. 7 "w/o Sort" ablation.
 	Sort bool
-	// Parallel enables the two-level multi-process solving of Alg. 1
-	// (a bounded goroutine pool here).
-	Parallel bool
-	// Workers bounds the planning worker pool when Parallel is set; zero
-	// means GOMAXPROCS.
-	Workers int
 	// Overhead is a fixed per-micro-batch cost (seconds) added to each
 	// trial's total when comparing micro-batch counts — e.g. the exposed
 	// ZeRO time, which grows with M (takeaway #1's fixed-cost argument).
@@ -73,11 +75,13 @@ type SolverMetrics struct {
 	// Canceled is the number of calls that returned early because their
 	// context was canceled.
 	Canceled int64 `json:"canceled"`
-	// Planned is the number of micro-batches that reached the planner (a
-	// cache hit or an in-flight dedup avoids one planner invocation).
+	// Planned is the number of micro-batches that reached the planner. A
+	// cache hit, a warm-store hit or a repeat within the solve avoids one
+	// planner invocation, and a micro-batch of an abandoned trial is never
+	// planned.
 	Planned int64 `json:"planned"`
-	// Deduped is the number of micro-batches served by waiting on another
-	// in-flight plan of the same signature instead of planning.
+	// Deduped is the number of micro-batches answered by an exact repeat
+	// planned earlier in the same solve instead of planning.
 	Deduped int64 `json:"deduped"`
 	// Skipped is the number of speculative solves a streaming session
 	// avoided because the plan cache already covered the partial batch
@@ -112,7 +116,7 @@ func (s *Solver) Metrics() SolverMetrics {
 
 // New returns a Solver with the paper's defaults.
 func New(pl *planner.Planner) *Solver {
-	return &Solver{Planner: pl, Trials: blaster.DefaultTrials, Sort: true, Parallel: true}
+	return &Solver{Planner: pl, Trials: blaster.DefaultTrials, Sort: true}
 }
 
 // Result is the outcome of solving one data batch.
@@ -136,113 +140,31 @@ type Result struct {
 type TrialSummary struct {
 	// M is the micro-batch count tried.
 	M int `json:"m"`
-	// Time is the trial's total estimated time (0 when infeasible).
+	// Time is the trial's total estimated time (0 when infeasible or
+	// pruned).
 	Time float64 `json:"time"`
 	// Feasible reports whether every micro-batch found a plan.
 	Feasible bool `json:"feasible"`
 	// Note carries the failure reason for infeasible trials.
 	Note string `json:"note,omitempty"`
+	// Pruned marks a trial abandoned before all its micro-batches were
+	// planned, because it provably could not beat an earlier trial.
+	Pruned bool `json:"pruned,omitempty"`
+	// Bound is a pruned trial's lower bound on its total time — its planned
+	// micro-batches plus the lower bounds of the rest — which exceeded the
+	// best complete trial's time.
+	Bound float64 `json:"bound,omitempty"`
 }
 
 // ErrUnsolvable is returned when no explored micro-batch count yields a
 // feasible plan.
 var ErrUnsolvable = fmt.Errorf("solver: no feasible plan for batch")
 
-// planPool is the bounded worker pool planning micro-batches: a fixed set of
-// workers drains a task channel, replacing the historical trials×micros
-// goroutine fan-out. A nil pool runs tasks inline (the Parallel=false path).
-type planPool struct {
-	tasks chan func()
-	wg    sync.WaitGroup
-}
-
-func newPlanPool(workers int) *planPool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	p := &planPool{tasks: make(chan func(), 2*workers)}
-	for i := 0; i < workers; i++ {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			for f := range p.tasks {
-				f()
-			}
-		}()
-	}
-	return p
-}
-
-// do submits n tasks and waits for all of them. Task functions must not
-// submit further tasks (the trial goroutines, not pool workers, fan out).
-func (p *planPool) do(n int, task func(i int)) {
-	if p == nil {
-		for i := 0; i < n; i++ {
-			task(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		i := i
-		p.tasks <- func() {
-			defer wg.Done()
-			task(i)
-		}
-	}
-	wg.Wait()
-}
-
-func (p *planPool) close() {
-	if p != nil {
-		close(p.tasks)
-		p.wg.Wait()
-	}
-}
-
-// flightGroup deduplicates concurrent plans of identical micro-batch
-// signatures (singleflight): when trials for M and M+1 blast out the same
-// bucketed batch at once, one leader plans it and the others wait and reuse.
-type flightGroup struct {
-	mu sync.Mutex
-	m  map[uint64]*flight
-}
-
-type flight struct {
-	done chan struct{}
-	sig  []int32 // sorted signature the leader is planning (collision guard)
-	plan planner.MicroPlan
-	err  error
-}
-
-func newFlightGroup() *flightGroup {
-	return &flightGroup{m: make(map[uint64]*flight)}
-}
-
-// start registers a flight for key. The second return is true when the
-// caller became the leader and must call finish; false means another plan of
-// the same signature is in progress and f.done can be awaited.
-func (fg *flightGroup) start(key uint64, sig []int32) (*flight, bool) {
-	fg.mu.Lock()
-	defer fg.mu.Unlock()
-	if f, ok := fg.m[key]; ok && SigsEqual(f.sig, sig) {
-		return f, false
-	}
-	f := &flight{done: make(chan struct{}), sig: sig}
-	fg.m[key] = f
-	return f, true
-}
-
-func (fg *flightGroup) finish(key uint64, f *flight, plan planner.MicroPlan, err error) {
-	fg.mu.Lock()
-	if fg.m[key] == f {
-		delete(fg.m, key)
-	}
-	fg.mu.Unlock()
-	f.plan, f.err = plan, err
-	close(f.done)
-}
+// pruneMargin is the relative slack of the walk's stop rule: the bounds and
+// the incumbent are float sums taken in different orders, so a trial is
+// abandoned only when its bound exceeds the incumbent by more than rounding
+// could explain, and the trial that would win is never cut.
+const pruneMargin = 1e-9
 
 // Solve runs Alg. 1 on one data batch of sequence lengths.
 func (s *Solver) Solve(batch []int) (Result, error) {
@@ -251,24 +173,20 @@ func (s *Solver) Solve(batch []int) (Result, error) {
 
 // SolveContext is Solve with cancellation: the context is checked at every
 // trial and micro-batch boundary, so a canceled request (an HTTP client gone
-// away, a draining server) stops consuming planner workers within one
-// micro-batch plan. A canceled call returns ctx.Err(), never ErrUnsolvable.
+// away, a draining server) stops within one micro-batch plan. A canceled
+// call returns ctx.Err(), never ErrUnsolvable.
 func (s *Solver) SolveContext(ctx context.Context, batch []int) (Result, error) {
 	return s.solve(ctx, batch, nil)
 }
 
 // solve is the Alg. 1 body behind SolveContext and SolveWarm. A non-nil warm
 // state threads a streaming session's exact-signature micro-plan memo
-// through planOne (see stream.go); nil is the plain cold path.
+// through the walk (see stream.go); nil is the plain cold path.
 func (s *Solver) solve(ctx context.Context, batch []int, warm *warmState) (Result, error) {
 	start := time.Now()
 	ctx, span := obs.Start(ctx, "solver.solve")
 	defer span.End()
 	span.SetAttr("seqs", len(batch))
-	trials := s.Trials
-	if trials <= 0 {
-		trials = blaster.DefaultTrials
-	}
 	mmin := blaster.MinMicroBatches(batch, s.Planner.TokenCapacity())
 	span.SetAttr("m_min", mmin)
 	if mmin == 0 && len(batch) > 0 {
@@ -280,114 +198,16 @@ func (s *Solver) solve(ctx context.Context, batch []int, warm *warmState) (Resul
 		return Result{SolveWall: time.Since(start)}, nil
 	}
 
-	var pool *planPool
-	if s.Parallel {
-		pool = newPlanPool(s.Workers)
-		defer pool.close()
+	best, err := s.walk(ctx, batch, mmin, &solveSource{
+		s:    s,
+		pr:   s.Planner.Pricing(),
+		warm: warm,
+		memo: make(map[uint64]storeEntry),
+	})
+	if err == nil {
+		err = ctx.Err() // canceled after the last trial
 	}
-	flights := newFlightGroup()
-
-	type trial struct {
-		plans []planner.MicroPlan
-		time  float64
-		m     int
-		err   error
-	}
-	runTrial := func(m int) trial {
-		if err := ctx.Err(); err != nil {
-			return trial{err: err}
-		}
-		tctx, tspan := obs.Start(ctx, "solver.trial")
-		defer tspan.End()
-		tspan.SetAttr("m", m)
-		if m > len(batch) {
-			err := fmt.Errorf("solver: m %d exceeds batch size", m)
-			tspan.SetError(err)
-			return trial{err: err}
-		}
-		var micro [][]int
-		var err error
-		if s.Sort {
-			micro, err = blaster.Blast(batch, m)
-		} else {
-			micro, err = blaster.BlastUnsorted(batch, m)
-		}
-		if err != nil {
-			tspan.SetError(err)
-			return trial{err: err}
-		}
-		plans := make([]planner.MicroPlan, len(micro))
-		errs := make([]error, len(micro))
-		pool.do(len(micro), func(i int) {
-			if errs[i] = ctx.Err(); errs[i] != nil {
-				return
-			}
-			plans[i], errs[i] = s.planOne(tctx, flights, micro[i], warm)
-		})
-		total := s.Overhead * float64(len(plans))
-		for i := range plans {
-			if errs[i] != nil {
-				tspan.SetError(errs[i])
-				return trial{err: errs[i]}
-			}
-			total += plans[i].Time
-		}
-		tspan.SetAttr("est_time", total)
-		return trial{plans: plans, time: total, m: m}
-	}
-
-	trialsOut := make([]trial, trials)
-	if s.Parallel {
-		var wg sync.WaitGroup
-		for ti := 0; ti < trials; ti++ {
-			wg.Add(1)
-			go func(ti int) {
-				defer wg.Done()
-				trialsOut[ti] = runTrial(mmin + ti)
-			}(ti)
-		}
-		wg.Wait()
-	} else {
-		for ti := 0; ti < trials; ti++ {
-			trialsOut[ti] = runTrial(mmin + ti)
-		}
-	}
-
-	best := Result{Time: math.Inf(1), MMin: mmin}
-	summarize := func(tr trial, m int) {
-		ts := TrialSummary{M: m, Feasible: tr.err == nil, Time: tr.time}
-		if tr.err != nil {
-			ts.Time = 0
-			ts.Note = tr.err.Error()
-		}
-		best.Trials = append(best.Trials, ts)
-	}
-	for ti, tr := range trialsOut {
-		summarize(tr, mmin+ti)
-		if tr.err != nil {
-			continue
-		}
-		if tr.time < best.Time {
-			best.Plans, best.Time, best.M = tr.plans, tr.time, tr.m
-		}
-	}
-	if math.IsInf(best.Time, 1) {
-		// Every trial in [M_min, M_min+M′) was infeasible — typically when
-		// a conservative bucketing inflates memory estimates. Widen the
-		// window geometrically rather than fail, going through the same
-		// runTrial path as the window (same sorting ablation, plan cache,
-		// and parallel planning).
-		for m := mmin + trials; m <= len(batch); m += trials {
-			tr := runTrial(m)
-			summarize(tr, m)
-			if tr.err != nil {
-				continue
-			}
-			best.Plans, best.Time, best.M = tr.plans, tr.time, tr.m
-			break
-		}
-	}
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		s.stats.canceled.Add(1)
 		span.SetError(err)
 		return Result{}, err
@@ -403,89 +223,284 @@ func (s *Solver) solve(ctx context.Context, batch []int, warm *warmState) (Resul
 	return best, nil
 }
 
-// planOne plans one micro-batch through the warm store, the cache and the
-// in-flight deduplication: a streaming session's warm store returns memoized
-// plans verbatim, cache hits return retargeted plans, concurrent identical
-// signatures are planned once (singleflight, so the trials for M and M+1
-// never plan the same bucketed batch twice), and everything else goes to
-// the planner. Every successful outcome is recorded back into a non-nil
-// warm state, and speculative solves withhold their plans from the shared
-// cache (see stream.go for why both matter for byte-identity).
-func (s *Solver) planOne(ctx context.Context, flights *flightGroup, lens []int, warm *warmState) (planner.MicroPlan, error) {
-	ctx, span := obs.Start(ctx, "solver.micro")
+// microSource answers the micro-batches of one walk. repeat returns the
+// plan of an exact repeat the source already holds, at no cost; answer
+// produces the rest, from the plan cache or the planner. Solve and
+// CacheCovers walk the window with different sources.
+type microSource interface {
+	repeat(ctx context.Context, lens []int) (planner.MicroPlan, bool)
+	answer(ctx context.Context, lens []int) (planner.MicroPlan, error)
+}
+
+// walk runs Alg. 1's trial window from mmin as a branch and bound over src:
+// the trials in M order, each abandoned once it provably cannot beat the
+// best complete trial so far (the incumbent; ties keep the smaller M), and,
+// when no trial of the window completes, the widening fallback. best.Time is
+// +Inf when no trial completed. The walk stops early, returning the cause,
+// when ctx is canceled or src reports errUncovered.
+func (s *Solver) walk(ctx context.Context, batch []int, mmin int, src microSource) (Result, error) {
+	trials := s.Trials
+	if trials <= 0 {
+		trials = blaster.DefaultTrials
+	}
+	lb := s.Planner.LowerBound()
+	best := Result{Time: math.Inf(1), MMin: mmin}
+	try := func(m int) error {
+		tr := s.runTrial(ctx, batch, m, best.Time, lb, src)
+		if tr.err != nil && (errors.Is(tr.err, errUncovered) || ctx.Err() != nil) {
+			return tr.err
+		}
+		best.Trials = append(best.Trials, tr.summary())
+		if tr.err == nil && !tr.pruned && tr.time < best.Time {
+			best.Plans, best.Time, best.M = tr.plans, tr.time, m
+		}
+		return nil
+	}
+	for m := mmin; m < mmin+trials; m++ {
+		if err := try(m); err != nil {
+			return best, err
+		}
+	}
+	// Every trial in [M_min, M_min+M′) was infeasible — typically when a
+	// conservative bucketing inflates memory estimates. Step past the window
+	// M′ counts at a time rather than fail, through the same trial path.
+	for m := mmin + trials; math.IsInf(best.Time, 1) && m <= len(batch); m += trials {
+		if err := try(m); err != nil {
+			return best, err
+		}
+	}
+	return best, nil
+}
+
+// trial is the outcome of one micro-batch count.
+type trial struct {
+	m      int
+	plans  []planner.MicroPlan
+	time   float64
+	err    error
+	pruned bool
+	bound  float64 // the bound that exceeded the incumbent, when pruned
+}
+
+func (tr trial) summary() TrialSummary {
+	ts := TrialSummary{M: tr.m}
+	switch {
+	case tr.err != nil:
+		ts.Note = tr.err.Error()
+	case tr.pruned:
+		ts.Pruned, ts.Bound = true, tr.bound
+	default:
+		ts.Feasible, ts.Time = true, tr.time
+	}
+	return ts
+}
+
+// runTrial blasts the batch into m micro-batches and answers them from src:
+// first every exact repeat src holds, then the rest largest lower bound
+// first. Before answering each of those the trial is abandoned if its
+// overhead, its answered micro-batches and the bounds of the unanswered
+// ones exceed the incumbent, so an abandoned trial's remaining micro-batches
+// are neither looked up nor planned. A complete trial's time is summed in
+// micro-batch order.
+func (s *Solver) runTrial(ctx context.Context, batch []int, m int, incumbent float64, lb *planner.LowerBound, src microSource) trial {
+	tr := trial{m: m}
+	if tr.err = ctx.Err(); tr.err != nil {
+		return tr
+	}
+	ctx, span := obs.Start(ctx, "solver.trial")
 	defer span.End()
-	span.SetAttr("seqs", len(lens))
-	var wsig []int32
-	var wkey uint64
-	if warm != nil {
-		wsig, wkey = Signature(lens)
-		if p, ok := warm.hit(wsig, wkey); ok {
+	span.SetAttr("m", m)
+	fail := func(err error) trial {
+		span.SetError(err)
+		tr.err = err
+		return tr
+	}
+	if m > len(batch) {
+		return fail(fmt.Errorf("solver: m %d exceeds batch size", m))
+	}
+	var micro [][]int
+	var err error
+	if s.Sort {
+		micro, err = blaster.Blast(batch, m)
+	} else {
+		micro, err = blaster.BlastUnsorted(batch, m)
+	}
+	if err != nil {
+		return fail(err)
+	}
+	type pending struct {
+		i     int
+		bound float64
+	}
+	plans := make([]planner.MicroPlan, len(micro))
+	var todo []pending
+	answered, rest := s.Overhead*float64(len(micro)), 0.0
+	for i, lens := range micro {
+		if p, ok := src.repeat(ctx, lens); ok {
+			plans[i] = p
+			answered += p.Time
+			continue
+		}
+		u := pending{i: i, bound: lb.Of(lens)}
+		todo = append(todo, u)
+		rest += u.bound
+	}
+	sort.SliceStable(todo, func(a, b int) bool { return todo[a].bound > todo[b].bound })
+	limit := incumbent * (1 + pruneMargin)
+	for _, u := range todo {
+		// An infinite bound means no group holds the micro-batch's longest
+		// sequence; planning it fails at once and says why.
+		if bound := answered + rest; bound > limit && !math.IsInf(bound, 1) {
+			span.SetAttr("pruned", true)
+			span.SetAttr("bound", bound)
+			tr.pruned, tr.bound = true, bound
+			return tr
+		}
+		if err := ctx.Err(); err != nil {
+			return fail(err)
+		}
+		p, err := src.answer(ctx, micro[u.i])
+		if err != nil {
+			return fail(err)
+		}
+		plans[u.i] = p
+		answered += p.Time
+		rest -= u.bound
+	}
+	tr.plans, tr.time = plans, s.Overhead*float64(len(plans))
+	for _, p := range plans {
+		tr.time += p.Time
+	}
+	span.SetAttr("est_time", tr.time)
+	return tr
+}
+
+// solveSource answers a solve's micro-batches: a streaming session's warm
+// store and exact repeats of micro-batches planned earlier in this solve
+// first, then the plan cache, and the planner for the rest. Every outcome
+// is recorded into a non-nil warm state, and speculative solves withhold
+// their plans from the shared cache (see stream.go for why both matter for
+// byte-identity).
+type solveSource struct {
+	s    *Solver
+	pr   costmodel.Pricing
+	warm *warmState
+	memo map[uint64]storeEntry // planned this solve, by exact signature
+}
+
+func (src *solveSource) repeat(ctx context.Context, lens []int) (planner.MicroPlan, bool) {
+	if src.warm == nil && len(src.memo) == 0 {
+		return planner.MicroPlan{}, false
+	}
+	s := src.s
+	sig, key := Signature(lens)
+	tier := "warm"
+	p, ok := planner.MicroPlan{}, false
+	if src.warm != nil {
+		if p, ok = src.warm.hit(sig, key); ok && s.Cache != nil && !src.warm.speculative {
 			// The memoized plan is exactly what this solve's cold path
 			// produced for this signature; a final (non-speculative) solve
 			// also publishes it, so the cache ends up in the cold state.
-			if s.Cache != nil && !warm.speculative {
-				s.Cache.Put(lens, p)
-			}
-			span.SetAttr("tier", "warm")
+			s.Cache.Put(lens, p)
+		}
+	}
+	if e, hit := src.memo[key]; !ok && hit && SigsEqual(e.sig, sig) {
+		p, ok, tier = e.plan, true, "dedup"
+		s.stats.deduped.Add(1)
+		if s.Cache != nil {
+			s.Cache.noteDedup()
+		}
+	}
+	if ok {
+		src.span(ctx, lens, tier)
+	}
+	return p, ok
+}
+
+func (src *solveSource) answer(ctx context.Context, lens []int) (planner.MicroPlan, error) {
+	s := src.s
+	if s.Cache != nil {
+		if p, ok := s.Cache.Get(src.pr, lens); ok {
+			src.record(lens, p, false)
+			src.span(ctx, lens, "cache-hit")
 			return p, nil
 		}
 	}
-	record := func(p planner.MicroPlan, err error) (planner.MicroPlan, error) {
-		if warm != nil && err == nil {
-			warm.record(wsig, wkey, p)
-		}
+	ctx, span := obs.Start(ctx, "solver.micro")
+	defer span.End()
+	span.SetAttr("seqs", len(lens))
+	span.SetAttr("tier", "planned")
+	s.stats.planned.Add(1)
+	p, err := s.Planner.PlanContext(ctx, lens)
+	if err != nil {
 		return p, err
 	}
-	if s.Cache != nil {
-		sig, key := s.Cache.signature(lens)
-		if p, ok := s.Cache.getWithSig(s.Planner.Pricing(), lens, sig, key); ok {
-			span.SetAttr("tier", "cache-hit")
-			return record(p, nil)
-		}
-		// Singleflight on the cache's rounded signature: the leader plans
-		// and fills the cache, waiters re-read it and retarget.
-		f, leader := flights.start(key, sig)
-		if !leader {
-			<-f.done
-			if p, ok := s.Cache.getWithSig(s.Planner.Pricing(), lens, sig, key); ok {
-				s.Cache.noteDedup()
-				s.stats.deduped.Add(1)
-				span.SetAttr("tier", "dedup")
-				return record(p, nil)
-			}
-			// Leader failed (or withheld its plan speculatively) or the
-			// retarget was rejected; plan independently.
-			s.stats.planned.Add(1)
-			span.SetAttr("tier", "planned")
-			return record(s.Planner.PlanContext(ctx, lens))
-		}
-		s.stats.planned.Add(1)
-		span.SetAttr("tier", "planned")
-		p, err := s.Planner.PlanContext(ctx, lens)
-		if err == nil && (warm == nil || !warm.speculative) {
-			s.Cache.Put(lens, p)
-		}
-		flights.finish(key, f, p, err)
-		return record(p, err)
+	if s.Cache != nil && (src.warm == nil || !src.warm.speculative) {
+		s.Cache.Put(lens, p)
 	}
-	// No cache: deduplicate exact length multisets in flight and share the
-	// identical plan.
+	src.record(lens, p, true)
+	return p, nil
+}
+
+// record keeps an answered micro-batch for the incumbent a warm solve
+// produces and, when it was planned, for repeats later in this solve.
+func (src *solveSource) record(lens []int, p planner.MicroPlan, planned bool) {
+	if !planned && src.warm == nil {
+		return
+	}
 	sig, key := Signature(lens)
-	f, leader := flights.start(key, sig)
-	if !leader {
-		<-f.done
-		if f.err == nil {
-			s.stats.deduped.Add(1)
-			span.SetAttr("tier", "dedup")
-			return record(f.plan, nil)
-		}
-		s.stats.planned.Add(1)
-		span.SetAttr("tier", "planned")
-		return record(s.Planner.PlanContext(ctx, lens))
+	if planned {
+		src.memo[key] = storeEntry{sig: sig, plan: p}
 	}
-	s.stats.planned.Add(1)
-	span.SetAttr("tier", "planned")
-	p, err := s.Planner.PlanContext(ctx, lens)
-	flights.finish(key, f, p, err)
-	return record(p, err)
+	if src.warm != nil {
+		src.warm.record(sig, key, p)
+	}
+}
+
+// span records a micro-batch answered without planning.
+func (src *solveSource) span(ctx context.Context, lens []int, tier string) {
+	_, span := obs.Start(ctx, "solver.micro")
+	span.SetAttr("seqs", len(lens))
+	span.SetAttr("tier", tier)
+	span.End()
+}
+
+// errUncovered stops CacheCovers' walk at the first micro-batch a solve
+// would have to plan.
+var errUncovered = fmt.Errorf("solver: micro-batch not covered by the plan cache")
+
+// cacheProbe is CacheCovers' source: read-only cache lookups, and every
+// micro-batch they miss is one the solve would plan.
+type cacheProbe struct {
+	cache *PlanCache
+	pr    costmodel.Pricing
+}
+
+func (cacheProbe) repeat(context.Context, []int) (planner.MicroPlan, bool) {
+	return planner.MicroPlan{}, false
+}
+
+func (cp cacheProbe) answer(_ context.Context, lens []int) (planner.MicroPlan, error) {
+	if p, ok := cp.cache.peek(cp.pr, lens); ok {
+		return p, nil
+	}
+	return planner.MicroPlan{}, errUncovered
+}
+
+// CacheCovers reports whether a solve of the batch would plan nothing: it
+// walks the trial window exactly as Solve does, and every micro-batch the
+// walk reaches — trials it abandons need no plans — is answered by the
+// shared plan cache. Streaming sessions use it to skip a speculative solve
+// that would only re-derive cached plans. The probe is read-only: it moves
+// no LRU entries and counts no hits or misses.
+func (s *Solver) CacheCovers(batch []int) bool {
+	if s.Cache == nil || len(batch) == 0 {
+		return false
+	}
+	mmin := blaster.MinMicroBatches(batch, s.Planner.TokenCapacity())
+	if mmin == 0 {
+		return false
+	}
+	_, err := s.walk(context.Background(), batch, mmin, cacheProbe{cache: s.Cache, pr: s.Planner.Pricing()})
+	return err == nil
 }

@@ -76,25 +76,6 @@ func TestSolveRespectsMMin(t *testing.T) {
 	}
 }
 
-func TestSolveSerialEqualsParallel(t *testing.T) {
-	s := newSolver()
-	rng := rand.New(rand.NewSource(4))
-	batch := workload.Wikipedia().Batch(rng, 256, 192<<10)
-	par, err := s.Solve(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Parallel = false
-	ser, err := s.Solve(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.M != ser.M || par.Time != ser.Time {
-		t.Fatalf("parallel (M=%d, %.4f) != serial (M=%d, %.4f)",
-			par.M, par.Time, ser.M, ser.Time)
-	}
-}
-
 func TestSolveUnsolvable(t *testing.T) {
 	c := costmodel.Profile(costmodel.GPT7B, cluster.A100Cluster(8))
 	s := New(planner.New(c))
@@ -171,16 +152,15 @@ func TestServiceCloseIdempotent(t *testing.T) {
 // TestWideningFallback forces the [M_min, M_min+M′) window to be infeasible
 // (a single coarse bucket inflates every sequence to the batch maximum) so
 // the solver must widen the micro-batch count. The widened search goes
-// through the same runTrial path as the window: it must honour Sort and
-// Parallel, reuse the plan cache, and return a feasible plan.
+// through the same runTrial path as the window: it must honour Sort, reuse
+// the plan cache, and return a feasible plan.
 func TestWideningFallback(t *testing.T) {
 	c := costmodel.Profile(costmodel.GPT7B, cluster.A100Cluster(8))
-	mk := func(parallel, sorted bool, cache *PlanCache) *Solver {
+	mk := func(sorted bool, cache *PlanCache) *Solver {
 		pl := planner.New(c)
 		pl.Q = 1 // one bucket: reps round up to the longest sequence
 		s := New(pl)
 		s.Trials = 1
-		s.Parallel = parallel
 		s.Sort = sorted
 		s.Cache = cache
 		return s
@@ -190,7 +170,7 @@ func TestWideningFallback(t *testing.T) {
 		batch = append(batch, 1<<10+32*i)
 	}
 
-	s := mk(true, true, nil)
+	s := mk(true, nil)
 	mmin := blaster.MinMicroBatches(batch, s.Planner.TokenCapacity())
 	res, err := s.Solve(batch)
 	if err != nil {
@@ -217,21 +197,13 @@ func TestWideningFallback(t *testing.T) {
 		}
 	}
 
-	// The fallback must behave identically across Parallel and Sort modes
-	// (it used to bypass both), and must populate the cache when present.
-	serial, err := mk(false, true, nil).Solve(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.M != res.M || serial.Time != res.Time {
-		t.Fatalf("fallback parallel (M=%d %.4f) != serial (M=%d %.4f)",
-			res.M, res.Time, serial.M, serial.Time)
-	}
-	if _, err := mk(true, false, nil).Solve(batch); err != nil {
+	// The fallback must honour the Sort ablation (it used to bypass it), and
+	// must populate the cache when present.
+	if _, err := mk(false, nil).Solve(batch); err != nil {
 		t.Fatalf("unsorted fallback failed: %v", err)
 	}
 	cache := NewPlanCache(64, 256)
-	if _, err := mk(true, true, cache).Solve(batch); err != nil {
+	if _, err := mk(true, cache).Solve(batch); err != nil {
 		t.Fatal(err)
 	}
 	if cache.Len() == 0 {

@@ -6,9 +6,7 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
-	"flexsp/internal/blaster"
 	"flexsp/internal/obs"
 	"flexsp/internal/planner"
 )
@@ -27,11 +25,11 @@ import (
 //     latest speculative solve (the Expect hint fires that solve with the
 //     final append), its Result is the cold result — the solver is a
 //     deterministic function of the batch multiset.
-//   - Micro-plan warm store: every speculative solve memoizes planOne's
-//     outcome per exact micro-batch signature; the final solve probes the
-//     store before the shared cache. A hit returns exactly what planOne
-//     produced for that signature, so the final plans match a cold solve
-//     under the same shared-cache state.
+//   - Micro-plan warm store: every speculative solve memoizes the outcome of
+//     each micro-batch its walk answers, per exact signature; the final
+//     solve probes the store before the shared cache. A hit returns exactly
+//     what the solve produced for that signature, so the final plans match a
+//     cold solve under the same shared-cache state.
 //
 // Speculative solves read the shared PlanCache but never write it: plans
 // derived from partial-batch shapes must not leak into the rounded cache,
@@ -392,6 +390,14 @@ func (st *Stream) Cancel() {
 	st.cancel()
 }
 
+// Lengths returns a copy of the sequence lengths appended so far. After
+// Cancel or Close it is the session's final batch.
+func (st *Stream) Lengths() []int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return append([]int(nil), st.lens...)
+}
+
 // Len returns the number of sequences appended so far.
 func (st *Stream) Len() int {
 	st.mu.Lock()
@@ -433,9 +439,9 @@ func (inc *Incumbent) WarmHits() int { return inc.warmHits }
 // cold solve under the same shared-cache state: an incumbent whose batch
 // multiset equals this one short-circuits to its Result (the solver is
 // deterministic per multiset), and otherwise the solve runs normally with
-// planOne memoized by the incumbent's exact-signature warm store. The second
-// return is the new incumbent for chaining. A nil incumbent degrades to a
-// plain cold solve.
+// its micro-batches memoized by the incumbent's exact-signature warm store.
+// The second return is the new incumbent for chaining. A nil incumbent
+// degrades to a plain cold solve.
 func (s *Solver) SolveWarm(ctx context.Context, batch []int, inc *Incumbent) (Result, *Incumbent, error) {
 	return s.solveWarm(ctx, batch, inc, false)
 }
@@ -459,52 +465,14 @@ func (s *Solver) solveWarm(ctx context.Context, batch []int, inc *Incumbent, spe
 	if err != nil {
 		return Result{}, nil, err
 	}
-	return res, &Incumbent{sig: sig, key: key, res: res, store: warm.next, warmHits: int(warm.hits.Load())}, nil
-}
-
-// CacheCovers reports whether the shared plan cache already holds an entry
-// for every micro-batch the batch would blast into across the solve's trial
-// window — the probe that lets a streaming session skip a speculative solve
-// whose signatures are all cached (the close-time solve will hit them
-// directly). The probe is read-only: it moves no LRU entries and counts no
-// hits or misses.
-func (s *Solver) CacheCovers(batch []int) bool {
-	if s.Cache == nil || len(batch) == 0 {
-		return false
-	}
-	trials := s.Trials
-	if trials <= 0 {
-		trials = blaster.DefaultTrials
-	}
-	mmin := blaster.MinMicroBatches(batch, s.Planner.TokenCapacity())
-	if mmin == 0 {
-		return false
-	}
-	for m := mmin; m < mmin+trials && m <= len(batch); m++ {
-		var micro [][]int
-		var err error
-		if s.Sort {
-			micro, err = blaster.Blast(batch, m)
-		} else {
-			micro, err = blaster.BlastUnsorted(batch, m)
-		}
-		if err != nil {
-			return false
-		}
-		for _, lens := range micro {
-			if !s.Cache.Contains(lens) {
-				return false
-			}
-		}
-	}
-	return true
+	return res, &Incumbent{sig: sig, key: key, res: res, store: warm.next, warmHits: warm.hits}, nil
 }
 
 // publishStore publishes a reused incumbent's micro-plan store into the
 // shared cache. The store holds one plan per exact micro signature the
-// speculative solve touched — every trial M's micro-batches, exactly the
-// set a cold solve of the same batch would have Put — so after a reuse the
-// cache covers the batch as if it had been solved cold.
+// speculative solve answered — every micro-batch its walk reached, which
+// covers the set a cold solve of the same batch would have Put — so after a
+// reuse the cache covers the batch as if it had been solved cold.
 func (s *Solver) publishStore(ms *microStore) {
 	if s.Cache == nil || ms == nil {
 		return
@@ -525,14 +493,14 @@ func (s *Solver) publishStore(ms *microStore) {
 }
 
 // warmState threads the warm store through one solve: prev is the previous
-// incumbent's memo (read), next accumulates this solve's planOne outcomes
-// for the incumbent it produces, and speculative suppresses shared-cache
-// writes.
+// incumbent's memo (read), next accumulates this solve's micro-batch
+// outcomes for the incumbent it produces, and speculative suppresses
+// shared-cache writes.
 type warmState struct {
 	prev        *microStore
 	next        *microStore
 	speculative bool
-	hits        atomic.Int64
+	hits        int
 }
 
 // hit probes the previous incumbent's store; hits are copied forward into
@@ -545,7 +513,7 @@ func (w *warmState) hit(sig []int32, key uint64) (planner.MicroPlan, bool) {
 	if !ok {
 		return planner.MicroPlan{}, false
 	}
-	w.hits.Add(1)
+	w.hits++
 	w.next.put(sig, key, p)
 	return p, true
 }

@@ -77,8 +77,9 @@ func TestSolveWarmByteIdenticalToCold(t *testing.T) {
 	}
 
 	// Speculate on a strict prefix, then warm-solve the full batch: the
-	// warm store memoizes planOne outcomes, so the final plans must be
-	// byte-identical to the cold solve (both start from a fresh cache).
+	// warm store memoizes each micro-batch's outcome, so the final plans
+	// must be byte-identical to the cold solve (both start from a fresh
+	// cache).
 	warm := newStreamSolver()
 	_, inc, err := warm.solveWarm(context.Background(), batch[:48], nil, true)
 	if err != nil {
@@ -120,7 +121,7 @@ func TestSolveWarmWholeBatchReuse(t *testing.T) {
 		t.Fatalf("whole-batch reuse did not return the incumbent result:\n%s\n%s", g, w)
 	}
 	// The reuse path publishes the final plans (publishStore).
-	if !s.Cache.Contains(firstMicro(t, s, batch, res.M)) {
+	if _, ok := s.Cache.peek(s.Planner.Pricing(), firstMicro(t, s, batch, res.M)); !ok {
 		t.Fatal("whole-batch reuse did not publish micro plans to the cache")
 	}
 }
