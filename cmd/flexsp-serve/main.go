@@ -17,8 +17,8 @@
 //	POST /v2/stream/{id}/append  add lengths to a session
 //	POST /v2/stream/{id}/close   seal the batch → plan envelope + stream stats
 //	POST /v2/topology         apply live-topology events (node loss,
-//	                          stragglers, rejoin); the daemon replans in the
-//	                          background, warm-started from the last solve
+//	                          stragglers, rejoin); the daemon rebuilds its
+//	                          planners for the live fleet in the background
 //	GET  /v2/topology         live fleet summary: versions, degraded flag
 //	GET  /v1/metrics          cache/dedup counters, queue depth, p50/p99
 //	GET  /metrics             the same counters as Prometheus text

@@ -158,18 +158,15 @@ type ServeConfig struct {
 	StreamWatermarks []float64
 	// Elastic turns on live-topology planning: the daemon accepts
 	// POST /v2/topology events (node loss, stragglers, rejoin) against the
-	// system's elastic topology and replans in the background, warm-started
-	// from the last served solve. Plans served between an event and the
-	// replan carry "degraded": true.
+	// system's elastic topology and replans in the background by rebuilding
+	// its solver and strategies for the live fleet, after which it plans as
+	// a daemon booted on that fleet would. Plans served between an event and
+	// the replan carry "degraded": true.
 	Elastic bool
 	// ReplanDebounce is how long the replan loop waits after a topology
 	// event for the burst to settle before replanning (default 100ms;
 	// negative replans immediately).
 	ReplanDebounce time.Duration
-	// ResolveColdFraction is the replan repair give-up threshold: when more
-	// than this fraction of the fleet changed, the replan solves cold
-	// instead of repairing the incumbent (default 0.5).
-	ResolveColdFraction float64
 	// Logger receives the daemon's structured logs (requests at Debug,
 	// lifecycle at Info); nil discards.
 	Logger *slog.Logger
@@ -399,11 +396,10 @@ func (s *System) Topology() *cluster.Elastic {
 // solver and server strategies: the elastic daemon's Rebuild hook, so every
 // strategy the daemon serves plans for the live fleet. The snapshot's fleet
 // is always planned by a range-placing planner — every served group carries
-// its device range, so the next topology event can repair plans, and
-// straggler derating creates per-node pseudo-classes even on a single-class
-// fleet — and the solver is returned without a plan cache so the server
-// attaches a fresh one (stale cached placements from the previous fleet
-// must not leak in).
+// its device range on the live fleet, and straggler derating creates
+// per-node pseudo-classes even on a single-class fleet — and the solver is
+// returned without a plan cache so the server attaches a fresh one (stale
+// cached placements from the previous fleet must not leak in).
 func (s *System) rebuildFor(snap cluster.Snapshot) (*solver.Solver, map[string]server.StrategyFunc, error) {
 	if len(snap.Mixed.NodeGroups) == 0 {
 		return nil, nil, fmt.Errorf("flexsp: no live devices in topology version %d", snap.Version)
@@ -508,38 +504,37 @@ func (s *System) NewServer() (*server.Server, error) {
 		elastic = s.elastic
 		rebuild = s.rebuildFor
 		// The initial plan state comes from the same rebuild path as every
-		// replan, so the first topology event can repair plans instead of
-		// falling back cold (a scalar solver has no placements to repair).
+		// replan: served groups carry their device ranges from the start,
+		// and a daemon booted on a fleet plans as one replanned onto it.
 		var err error
 		if sv, strategies, err = s.rebuildFor(elastic.Snapshot()); err != nil {
 			return nil, err
 		}
 	}
 	return server.New(server.Config{
-		Solver:              sv,
-		Strategies:          strategies,
-		Calibration:         s.serverCalibration(),
-		Topology:            elastic,
-		Rebuild:             rebuild,
-		ReplanDebounce:      s.serve.ReplanDebounce,
-		ResolveColdFraction: s.serve.ResolveColdFraction,
-		QueueLimit:          s.serve.QueueLimit,
-		TenantLimit:         s.serve.TenantLimit,
-		BatchWindow:         s.serve.BatchWindow,
-		CacheEntries:        s.serve.CacheEntries,
-		CacheGranularity:    s.serve.CacheGranularity,
-		TraceEntries:        s.serve.TraceEntries,
-		StreamLimit:         s.serve.StreamLimit,
-		StreamTimeout:       s.serve.StreamTimeout,
-		StreamWatermarks:    s.serve.StreamWatermarks,
-		Logger:              s.serve.Logger,
+		Solver:           sv,
+		Strategies:       strategies,
+		Calibration:      s.serverCalibration(),
+		Topology:         elastic,
+		Rebuild:          rebuild,
+		ReplanDebounce:   s.serve.ReplanDebounce,
+		QueueLimit:       s.serve.QueueLimit,
+		TenantLimit:      s.serve.TenantLimit,
+		BatchWindow:      s.serve.BatchWindow,
+		CacheEntries:     s.serve.CacheEntries,
+		CacheGranularity: s.serve.CacheGranularity,
+		TraceEntries:     s.serve.TraceEntries,
+		StreamLimit:      s.serve.StreamLimit,
+		StreamTimeout:    s.serve.StreamTimeout,
+		StreamWatermarks: s.serve.StreamWatermarks,
+		Logger:           s.serve.Logger,
 	})
 }
 
 // serverStrategies exposes every registered strategy except flexsp to POST
 // /v2/plan, planned on this System. The daemon plans flexsp itself, on the
-// solver of its plan state, because elastic repair starts from the incumbent
-// that solve records.
+// solver of its plan state, because its stream sessions and plan cache run
+// on that solver.
 func (s *System) serverStrategies() map[string]server.StrategyFunc {
 	out := make(map[string]server.StrategyFunc)
 	for _, name := range Strategies() {

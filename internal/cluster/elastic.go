@@ -90,6 +90,11 @@ type nodeState struct {
 	factor float64 // straggler slowdown, >= 1; meaningful while Straggling
 }
 
+// MaxDevices caps an Elastic fleet's size, down nodes included: node_join
+// events that would grow the fleet past it are rejected before anything is
+// allocated.
+const MaxDevices = 1 << 16
+
 // Elastic is a mutable topology: a MixedTopology whose nodes can leave,
 // rejoin, straggle, and be joined by new hardware at runtime. Planners never
 // read it directly — they take a versioned Snapshot, a consistent immutable
@@ -157,6 +162,12 @@ func (e *Elastic) Apply(evs ...Event) (int64, error) {
 			if ev.Count <= 0 {
 				return e.version, fmt.Errorf("cluster: %s: count %d must be positive", ev.Kind, ev.Count)
 			}
+			// Compare with the headroom rather than summing, so no count
+			// can overflow n or allocate past the cap.
+			if room := (MaxDevices - n*e.per) / e.per; ev.Count > room {
+				return e.version, fmt.Errorf("cluster: %s: count %d would grow the fleet past %d devices",
+					ev.Kind, ev.Count, MaxDevices)
+			}
 			n += ev.Count
 		default:
 			return e.version, fmt.Errorf("cluster: unknown event kind %q", ev.Kind)
@@ -213,7 +224,7 @@ func (e *Elastic) Notify() <-chan struct{} { return e.notify }
 
 // Snapshot is an immutable, versioned view of an Elastic fleet: the live
 // planning topology (down nodes removed, stragglers derated) plus the
-// physical-node bookkeeping needed to map plans between versions.
+// physical-node bookkeeping that SameView compares.
 type Snapshot struct {
 	// Version is the Elastic version this view was taken at.
 	Version int64
@@ -272,7 +283,7 @@ func (e *Elastic) Snapshot() Snapshot {
 // effectiveClass derates a straggling node's class: compute and bandwidth
 // scale down by the slowdown factor, memory is unaffected. The annotated
 // name makes derated classes unequal to their nominal class, which is what
-// SameView and MapRange key on.
+// SameView keys on.
 func effectiveClass(n nodeState) DeviceClass {
 	if n.health != Straggling || n.factor == 1 {
 		return n.class
@@ -287,17 +298,6 @@ func effectiveClass(n nodeState) DeviceClass {
 
 // NumDevices returns the live (planning) device count.
 func (s Snapshot) NumDevices() int { return len(s.Nodes) * s.Per }
-
-// PlanNode returns the planning node index of physical node phys, or -1 if
-// the node is down or unknown.
-func (s Snapshot) PlanNode(phys int) int {
-	for i, p := range s.Nodes {
-		if p == phys {
-			return i
-		}
-	}
-	return -1
-}
 
 // SameView reports whether two snapshots present the identical planning
 // view: same node granularity, same physical nodes in the same order, each
@@ -314,45 +314,4 @@ func SameView(a, b Snapshot) bool {
 		}
 	}
 	return true
-}
-
-// MapRange translates a device range placed under snapshot from into the
-// device numbering of snapshot to. It succeeds only when the move is free:
-// every physical node under the range is still live in to with an equal
-// effective class, and the range lands aligned on contiguous devices.
-// Otherwise the caller must re-place the group.
-func MapRange(from, to Snapshot, r DeviceRange) (DeviceRange, bool) {
-	if from.Per != to.Per || r.Size <= 0 || !r.Aligned() || r.End() > from.NumDevices() {
-		return DeviceRange{}, false
-	}
-	per := from.Per
-	if r.Size < per {
-		// Sub-node range: lives inside one node; keep the intra-node
-		// offset (alignment is preserved since per is a power of two).
-		i := r.Start / per
-		j := to.PlanNode(from.Nodes[i])
-		if j < 0 || to.Classes[j] != from.Classes[i] {
-			return DeviceRange{}, false
-		}
-		return DeviceRange{Start: j*per + r.Start%per, Size: r.Size}, true
-	}
-	// Whole-node range: every spanned physical node must be live, class
-	// unchanged, and contiguous in the same order in to.
-	first := r.Start / per
-	j0 := to.PlanNode(from.Nodes[first])
-	if j0 < 0 {
-		return DeviceRange{}, false
-	}
-	for k := 0; k < r.Size/per; k++ {
-		i := first + k
-		j := j0 + k
-		if j >= len(to.Nodes) || to.Nodes[j] != from.Nodes[i] || to.Classes[j] != from.Classes[i] {
-			return DeviceRange{}, false
-		}
-	}
-	nr := DeviceRange{Start: j0 * per, Size: r.Size}
-	if !nr.Aligned() || nr.End() > to.NumDevices() {
-		return DeviceRange{}, false
-	}
-	return nr, true
 }

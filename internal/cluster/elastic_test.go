@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -48,11 +50,9 @@ func TestElasticNodeDownAndRejoin(t *testing.T) {
 	if s.Version != 1 || s.Down != 1 || s.NumDevices() != 24 {
 		t.Fatalf("after node_down: v%d down=%d devices=%d", s.Version, s.Down, s.NumDevices())
 	}
+	// Physical node 1 has no planning slot; node 2 plans as node 1.
 	if got := s.Nodes; len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("Nodes = %v, want [0 2 3]", got)
-	}
-	if s.PlanNode(1) != -1 || s.PlanNode(2) != 1 {
-		t.Fatalf("PlanNode: got %d,%d want -1,1", s.PlanNode(1), s.PlanNode(2))
 	}
 	if _, err := e.Apply(Event{Kind: EventNodeUp, Node: 1}); err != nil {
 		t.Fatalf("Apply: %v", err)
@@ -107,8 +107,8 @@ func TestElasticDeviceFailureCordonsNode(t *testing.T) {
 		t.Fatalf("Apply: %v", err)
 	}
 	s := e.Snapshot()
-	if s.Down != 1 || s.PlanNode(2) != -1 {
-		t.Fatalf("device_oom on device 19 should cordon node 2: down=%d plan=%d", s.Down, s.PlanNode(2))
+	if got := s.Nodes; s.Down != 1 || len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 3 {
+		t.Fatalf("device_oom on device 19 should cordon node 2: down=%d nodes=%v", s.Down, got)
 	}
 }
 
@@ -149,6 +149,7 @@ func TestElasticApplyAtomicity(t *testing.T) {
 
 func TestElasticApplyRejectsBadEvents(t *testing.T) {
 	e := testElastic(t)
+	before := e.Snapshot()
 	for _, ev := range []Event{
 		{Kind: "reboot", Node: 0},
 		{Kind: EventStraggle, Node: 0, Factor: 0.5},
@@ -156,6 +157,10 @@ func TestElasticApplyRejectsBadEvents(t *testing.T) {
 		{Kind: EventDeviceDown, Device: 32},
 		{Kind: EventNodeJoin, Class: "V100", Count: 1},
 		{Kind: EventNodeJoin, Class: "H100", Count: 0},
+		// Past the fleet cap: rejected before anything is allocated, and
+		// the count cannot overflow the projected node count.
+		{Kind: EventNodeJoin, Class: "H100", Count: 1 << 40},
+		{Kind: EventNodeJoin, Class: "H100", Count: math.MaxInt},
 	} {
 		if _, err := e.Apply(ev); err == nil {
 			t.Errorf("Apply(%v): want error", ev)
@@ -166,6 +171,28 @@ func TestElasticApplyRejectsBadEvents(t *testing.T) {
 	}
 	if e.Version() != 0 {
 		t.Fatalf("version = %d after rejected events", e.Version())
+	}
+	if s := e.Snapshot(); !reflect.DeepEqual(s, before) {
+		t.Fatalf("rejected events changed the snapshot:\n got %+v\nwant %+v", s, before)
+	}
+}
+
+func TestElasticNodeJoinCap(t *testing.T) {
+	e := testElastic(t) // 4 nodes of 8
+	room := MaxDevices/8 - 4
+	// Two joins that fit alone but not together fail as one batch.
+	if _, err := e.Apply(Event{Kind: EventNodeJoin, Class: "H100", Count: room},
+		Event{Kind: EventNodeJoin, Class: "H100", Count: 1}); err == nil {
+		t.Fatal("batch past the cap: want error")
+	}
+	if _, err := e.Apply(Event{Kind: EventNodeJoin, Class: "H100", Count: room}); err != nil {
+		t.Fatalf("join up to the cap: %v", err)
+	}
+	if n := len(e.Snapshot().Health) * 8; n != MaxDevices {
+		t.Fatalf("fleet = %d devices, want %d", n, MaxDevices)
+	}
+	if _, err := e.Apply(Event{Kind: EventNodeJoin, Class: "H100", Count: 1}); err == nil {
+		t.Fatal("join past a full fleet: want error")
 	}
 }
 
@@ -185,59 +212,6 @@ func TestElasticNotifyCoalesces(t *testing.T) {
 	case <-e.Notify():
 		t.Fatal("notifications did not coalesce")
 	default:
-	}
-}
-
-func TestMapRangeWholeNode(t *testing.T) {
-	e := testElastic(t) // nodes 0..3, 8 devices each
-	from := e.Snapshot()
-	if _, err := e.Apply(Event{Kind: EventNodeDown, Node: 1}); err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
-	to := e.Snapshot()
-
-	// Node 0's devices keep their numbering.
-	if r, ok := MapRange(from, to, DeviceRange{Start: 0, Size: 8}); !ok || r != (DeviceRange{Start: 0, Size: 8}) {
-		t.Fatalf("map node0: %v %v", r, ok)
-	}
-	// Node 2 shifts down one node slot.
-	if r, ok := MapRange(from, to, DeviceRange{Start: 16, Size: 8}); !ok || r != (DeviceRange{Start: 8, Size: 8}) {
-		t.Fatalf("map node2: %v %v", r, ok)
-	}
-	// A range on the dead node cannot map.
-	if _, ok := MapRange(from, to, DeviceRange{Start: 8, Size: 8}); ok {
-		t.Fatal("range on dead node mapped")
-	}
-	// A two-node range spanning nodes 2-3 stays contiguous but lands
-	// misaligned (start 8, size 16), so it must be re-placed.
-	if _, ok := MapRange(from, to, DeviceRange{Start: 16, Size: 16}); ok {
-		t.Fatal("misaligned mapping accepted")
-	}
-	// Nodes 0-1 as a pair include the dead node.
-	if _, ok := MapRange(from, to, DeviceRange{Start: 0, Size: 16}); ok {
-		t.Fatal("range spanning dead node mapped")
-	}
-}
-
-func TestMapRangeSubNodeAndClassChange(t *testing.T) {
-	e := testElastic(t)
-	from := e.Snapshot()
-	if _, err := e.Apply(Event{Kind: EventNodeDown, Node: 0}, Event{Kind: EventStraggle, Node: 2, Factor: 2}); err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
-	to := e.Snapshot()
-
-	// Sub-node range on node 1 keeps its intra-node offset.
-	if r, ok := MapRange(from, to, DeviceRange{Start: 12, Size: 4}); !ok || r != (DeviceRange{Start: 4, Size: 4}) {
-		t.Fatalf("sub-node map: %v %v", r, ok)
-	}
-	// Node 2 is straggling: class changed, so its ranges must re-place
-	// (their cost model changed under them).
-	if _, ok := MapRange(from, to, DeviceRange{Start: 16, Size: 8}); ok {
-		t.Fatal("range on derated node mapped")
-	}
-	if _, ok := MapRange(from, to, DeviceRange{Start: 20, Size: 2}); ok {
-		t.Fatal("sub-node range on derated node mapped")
 	}
 }
 

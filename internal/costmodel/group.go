@@ -266,10 +266,9 @@ func (p Pricing) TokenCapacity() int {
 }
 
 // GroupEvaluator memoizes Pricing.Group by device range: within one executed
-// iteration or one plan repair the same few ranges are evaluated many times,
-// and profiling is pure, so the executor and the re-solver share this cache
-// instead of re-deriving coefficients per occurrence. Not safe for
-// concurrent use; create one per goroutine.
+// iteration the same few ranges are evaluated many times, and profiling is
+// pure, so the executor keeps this cache instead of re-deriving coefficients
+// per occurrence. Not safe for concurrent use; create one per goroutine.
 type GroupEvaluator struct {
 	p     Pricing
 	cache map[cluster.DeviceRange]Coeffs

@@ -10,8 +10,8 @@ import (
 
 // LowerBound bounds from below the makespan of every valid plan of a
 // micro-batch under one planner's pricing, whichever strategy produced the
-// plan — greedy, enum, the MILPs, a plan-cache retarget or a repaired
-// warm-store plan alike. Alg. 1's bounded trial walk (internal/solver) uses
+// plan — greedy, enum, the MILPs, a plan-cache retarget or a warm-store
+// plan alike. Alg. 1's bounded trial walk (internal/solver) uses
 // it to abandon a micro-batch count before planning all its micro-batches.
 //
 // Per usable SP degree d it keeps the cheapest Eq. 12–14 coefficients any

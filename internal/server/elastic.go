@@ -54,15 +54,6 @@ func (s *Server) newPlanState(sv *solver.Solver, fns map[string]StrategyFunc, sn
 	return &planState{solver: sv, strategies: tbl, snap: snap}, nil
 }
 
-// lastSolve remembers the most recent flexsp solve: batch, incumbent (plans
-// plus the exact-signature warm store), and the snapshot it was solved
-// under. The replan loop repairs it onto the new fleet via solver.Resolve.
-type lastSolve struct {
-	lens []int
-	inc  *solver.Incumbent
-	snap cluster.Snapshot
-}
-
 func (s *Server) planState() *planState { return s.planning.Load() }
 
 // degradedPlan reports whether a plan from st, about to be served, lags the
@@ -75,13 +66,6 @@ func (s *Server) degradedPlan(st *planState) bool {
 	}
 	s.met.degradedPlans.Add(1)
 	return true
-}
-
-// recordSolve stores the solve the replan loop will warm-start from.
-func (s *Server) recordSolve(lens []int, inc *solver.Incumbent, snap cluster.Snapshot) {
-	s.lastMu.Lock()
-	s.last = &lastSolve{lens: append([]int(nil), lens...), inc: inc, snap: snap}
-	s.lastMu.Unlock()
 }
 
 // cacheStats sums the current solver's cache counters with those of solvers
@@ -134,7 +118,6 @@ func (s *Server) topologyMetrics() TopologyMetrics {
 	tm := TopologyMetrics{
 		Events:        s.met.topoEvents.Value(),
 		Replans:       s.met.replans.Value(),
-		ColdReplans:   s.met.coldReplans.Value(),
 		DegradedPlans: s.met.degradedPlans.Value(),
 	}
 	if s.cfg.Topology == nil {
@@ -185,10 +168,10 @@ func (s *Server) replanLoop(ctx context.Context) {
 	}
 }
 
-// replanOnce rebuilds the plan state for the current topology snapshot,
-// warm-starting from the last served solve via solver.Resolve, and swaps it
-// in. On rebuild failure the old state keeps serving (flagged degraded) and
-// the next event retries.
+// replanOnce rebuilds the plan state for the current topology snapshot and
+// swaps it in. It solves nothing: the first request on the new state plans
+// exactly as a daemon booted on that fleet would. On rebuild failure the old
+// state keeps serving (flagged degraded) and the next event retries.
 func (s *Server) replanOnce(ctx context.Context) {
 	snap := s.cfg.Topology.Snapshot()
 	cur := s.planState()
@@ -215,47 +198,16 @@ func (s *Server) replanOnce(ctx context.Context) {
 			"version", snap.Version, "err", err)
 		return
 	}
-	s.lastMu.Lock()
-	last := s.last
-	s.lastMu.Unlock()
-	var stats solver.ResolveStats
-	stats.Cold = true
-	if last != nil {
-		res, inc, rstats, rerr := sv.Resolve(ctx, last.lens, last.inc,
-			last.snap, snap, solver.ResolveOptions{ColdFraction: s.cfg.ResolveColdFraction})
-		stats = rstats
-		switch {
-		case rerr == nil:
-			s.recordSolve(last.lens, inc, snap)
-			_ = res
-		case ctx.Err() != nil:
-			return
-		default:
-			// The last batch no longer solves on this fleet (e.g. shrunk
-			// below its needs). The new state still swaps in: honest
-			// errors on the new topology beat plans for dead devices.
-			span.SetError(rerr)
-			s.logger.Warn("replan: warm re-solve failed", "version", snap.Version, "err", rerr)
-		}
-	}
 	s.retire(cur)
 	s.planning.Store(next)
 	s.met.replans.Inc()
-	if stats.Cold {
-		s.met.coldReplans.Inc()
-	}
 	elapsed := time.Since(start)
 	s.met.replanSeconds.Observe(elapsed.Seconds())
-	span.SetAttr("cold", stats.Cold)
-	span.SetAttr("repaired", stats.RepairedPlans)
 	s.logger.Info("replanned",
 		"version", snap.Version,
 		"devices", snap.NumDevices(),
 		"down", snap.Down,
 		"straggling", snap.Straggling,
-		"cold", stats.Cold,
-		"repaired_plans", stats.RepairedPlans,
-		"warm_hits", stats.WarmHits,
 		"elapsed", elapsed)
 }
 

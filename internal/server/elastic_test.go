@@ -151,12 +151,17 @@ func TestTopologyPostValidation(t *testing.T) {
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("out-of-range node = %d, want 400 (body %s)", resp2.StatusCode, body)
 	}
+	resp3, _, body := postTopology(t, ts.URL, TopologyRequest{Events: []cluster.Event{
+		{Kind: cluster.EventNodeJoin, Class: "A100-40G", Count: 1_000_000_000}}})
+	if resp3.StatusCode != http.StatusBadRequest {
+		t.Fatalf("node_join past the fleet cap = %d, want 400 (body %s)", resp3.StatusCode, body)
+	}
 }
 
 func TestTopologyApplyTriggersReplan(t *testing.T) {
 	s, ts, _ := newElasticServer(t, 2, Config{ReplanDebounce: time.Millisecond})
 
-	// Solve once so the replan has an incumbent to warm-start from.
+	// Solve once so the counters have a retired solver to carry over.
 	resp, body := postPlan(t, ts.URL, PlanRequest{Lengths: testBatch})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve = %d: %s", resp.StatusCode, body)

@@ -109,6 +109,7 @@ func FuzzTopologyEventDecode(f *testing.F) {
 	f.Add([]byte(`{"events":`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"events":[{"kind":"node_join","class":"A100-40G","count":1000000000}]}`))
 
 	sv, fns := testSolver(), testStrategies()
 	stubRebuild := func(cluster.Snapshot) (*solver.Solver, map[string]StrategyFunc, error) {

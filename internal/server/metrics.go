@@ -118,8 +118,9 @@ type TopologyMetrics struct {
 	Down       int `json:"down"`
 	Straggling int `json:"straggling"`
 	// Events counts topology events accepted; Replans the background
-	// replans completed (ColdReplans of those without plan repair), and
-	// DegradedPlans the plan responses served while degraded.
+	// replans completed, and DegradedPlans the plan responses served while
+	// degraded. ColdReplans always reads 0, since a replan solves nothing;
+	// it stays so the JSON shape holds.
 	Events        int64 `json:"events"`
 	Replans       int64 `json:"replans"`
 	ColdReplans   int64 `json:"cold_replans"`
@@ -164,7 +165,6 @@ type metrics struct {
 
 	topoEvents    *obs.Counter
 	replans       *obs.Counter
-	coldReplans   *obs.Counter
 	degradedPlans *obs.Counter
 
 	cacheFetchHits   *obs.Counter
@@ -194,7 +194,6 @@ func newMetrics(reg *obs.Registry) metrics {
 
 		topoEvents:    reg.Counter("flexsp_topology_events_total", "Topology events accepted via POST /v2/topology."),
 		replans:       reg.Counter("flexsp_replans_total", "Background replans completed after topology changes."),
-		coldReplans:   reg.Counter("flexsp_replans_cold_total", "Replans that fell back to a cold solve (no plan repair)."),
 		degradedPlans: reg.Counter("flexsp_degraded_plans_total", "Plan responses served while the plan state lagged the topology."),
 
 		cacheFetchHits:   reg.Counter("flexsp_cache_fetch_hits_total", "GET /v2/cache/{sig} probes answered from the envelope cache."),
@@ -202,6 +201,6 @@ func newMetrics(reg *obs.Registry) metrics {
 
 		latency:        reg.Histogram("flexsp_request_latency_seconds", "Request latency from admission to response.", obs.DefBuckets),
 		planAfterClose: reg.Histogram("flexsp_plan_after_close_seconds", "Time from stream close to plan response.", obs.DefBuckets),
-		replanSeconds:  reg.Histogram("flexsp_replan_seconds", "Wall time of one background replan (rebuild + warm re-solve).", obs.DefBuckets),
+		replanSeconds:  reg.Histogram("flexsp_replan_seconds", "Wall time of one background replan (rebuild and swap).", obs.DefBuckets),
 	}
 }

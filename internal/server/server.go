@@ -33,9 +33,10 @@
 // An elastic daemon (Config.Topology + Config.Rebuild) additionally keeps
 // its plan state in step with a live fleet: topology events debounce into a
 // background replan that rebuilds the solver and the strategy table for the
-// new fleet and repairs the last served plan via solver.Resolve, while
-// requests racing the replan are served from the previous plan state flagged
-// "degraded":true, whichever strategy they name.
+// new fleet and swaps them in, so every plan after it is the one a daemon
+// booted on that fleet would serve. Requests racing the replan are served
+// from the previous plan state flagged "degraded":true, whichever strategy
+// they name.
 //
 // Three layers keep it standing under heavy traffic: admission control (a
 // bounded queue plus per-tenant concurrency limits, overflow answered with
@@ -153,9 +154,6 @@ type Config struct {
 	// event for further events to coalesce before replanning. Zero takes
 	// the 100ms default; negative replans immediately.
 	ReplanDebounce time.Duration
-	// ResolveColdFraction is passed to solver.Resolve during replans (the
-	// repair give-up threshold); zero takes the solver default.
-	ResolveColdFraction float64
 	// Calibration identifies the fitted cost-model coefficient set the
 	// daemon's solvers plan with. The zero value means the analytic built-in
 	// profile: the calibration gauge reports version 0 and envelopes carry no
@@ -182,12 +180,10 @@ type Server struct {
 	streams  map[string]*streamSession
 
 	// planning is the atomically swapped plan state (solver, strategy
-	// table, topology snapshot); the replan loop is its only writer. lastSolve
-	// feeds plan repair; retired* accumulate counters of solvers replaced
-	// by replans so Prometheus series stay monotonic across swaps.
+	// table, topology snapshot); the replan loop is its only writer.
+	// retired* accumulate counters of solvers replaced by replans so
+	// Prometheus series stay monotonic across swaps.
 	planning      atomic.Pointer[planState]
-	lastMu        sync.Mutex
-	last          *lastSolve
 	replanCancel  context.CancelFunc
 	replanDone    chan struct{}
 	closeOnce     sync.Once
@@ -406,21 +402,9 @@ func (s *Server) Drain() {
 const statusClientGone = 499
 
 // planFlexSP is the built-in flexsp strategy: one solve on the plan state's
-// solver, wrapped in the v2 envelope. On an elastic daemon the solve also
-// records its incumbent so the replan loop can repair it after topology
-// changes.
+// solver, wrapped in the v2 envelope.
 func (s *Server) planFlexSP(ctx context.Context, st *planState, spec PlanSpec) (PlanEnvelope, error) {
-	var res solver.Result
-	var err error
-	if s.cfg.Topology == nil {
-		res, err = st.solver.SolveContext(ctx, spec.Lengths)
-	} else {
-		var inc *solver.Incumbent
-		res, inc, err = st.solver.SolveWarm(ctx, spec.Lengths, nil)
-		if err == nil && inc != nil {
-			s.recordSolve(spec.Lengths, inc, st.snap)
-		}
-	}
+	res, err := st.solver.SolveContext(ctx, spec.Lengths)
 	if err != nil {
 		return PlanEnvelope{}, err
 	}

@@ -116,18 +116,6 @@ func roundedSig(lens []int, granularity int) ([]int32, uint64) {
 	return sig, h
 }
 
-// sigHash hashes an already-canonical (sorted) signature with the same
-// FNV-1a construction as roundedSig — used when a signature arrives
-// pre-built, e.g. an imported incumbent's warm store.
-func sigHash(sig []int32) uint64 {
-	h := uint64(14695981039346656037)
-	for _, r := range sig {
-		h ^= uint64(uint32(r))
-		h *= 1099511628211
-	}
-	return h
-}
-
 func (pc *PlanCache) shard(key uint64) *cacheShard {
 	return &pc.shards[key%uint64(len(pc.shards))]
 }

@@ -179,7 +179,7 @@ func (s *Solver) SolveContext(ctx context.Context, batch []int) (Result, error) 
 	return s.solve(ctx, batch, nil)
 }
 
-// solve is the Alg. 1 body behind SolveContext and SolveWarm. A non-nil warm
+// solve is the Alg. 1 body behind SolveContext and solveWarm. A non-nil warm
 // state threads a streaming session's exact-signature micro-plan memo
 // through the walk (see stream.go); nil is the plain cold path.
 func (s *Solver) solve(ctx context.Context, batch []int, warm *warmState) (Result, error) {

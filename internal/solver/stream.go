@@ -121,7 +121,7 @@ type Stream struct {
 	thresholds []int // sorted trigger counts when Expect is set
 	nextWM     int   // first threshold not yet crossed
 	lastSpec   int   // batch size at the last speculation (growth mode)
-	inc        *Incumbent
+	inc        *incumbent
 	spec       *speculation
 	stats      StreamStats
 }
@@ -134,7 +134,7 @@ type speculation struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 	res    Result
-	inc    *Incumbent
+	inc    *incumbent
 	err    error
 }
 
@@ -418,38 +418,29 @@ func (st *Stream) observe(ev string) {
 	}
 }
 
-// Incumbent is the state a speculative solve hands to the next one and to
+// incumbent is the state a speculative solve hands to the next one and to
 // the final close-time solve: the partial batch's exact signature, its
 // Result, and the exact-signature micro-plan warm store accumulated while
 // producing it.
-type Incumbent struct {
+type incumbent struct {
 	sig      []int32
 	key      uint64
 	res      Result
 	store    *microStore
-	warmHits int
+	warmHits int // micro-batches the warm store satisfied while producing it
 }
 
-// WarmHits returns how many micro-batches the warm store satisfied while
-// producing this incumbent.
-func (inc *Incumbent) WarmHits() int { return inc.warmHits }
-
-// SolveWarm is SolveContext warm-started from a previous (typically
+// solveWarm is SolveContext warm-started from a previous (typically
 // speculative) solve's incumbent. The returned plans are byte-identical to a
 // cold solve under the same shared-cache state: an incumbent whose batch
 // multiset equals this one short-circuits to its Result (the solver is
 // deterministic per multiset), and otherwise the solve runs normally with
 // its micro-batches memoized by the incumbent's exact-signature warm store.
-// The second return is the new incumbent for chaining. A nil incumbent
-// degrades to a plain cold solve.
-func (s *Solver) SolveWarm(ctx context.Context, batch []int, inc *Incumbent) (Result, *Incumbent, error) {
-	return s.solveWarm(ctx, batch, inc, false)
-}
-
-// solveWarm implements SolveWarm; speculative solves additionally withhold
+// The second return is the new incumbent for chaining; a nil incumbent
+// degrades to a plain cold solve. Speculative solves additionally withhold
 // their plans from the shared cache (partial-batch shapes must not leak into
 // the rounded cache).
-func (s *Solver) solveWarm(ctx context.Context, batch []int, inc *Incumbent, speculative bool) (Result, *Incumbent, error) {
+func (s *Solver) solveWarm(ctx context.Context, batch []int, inc *incumbent, speculative bool) (Result, *incumbent, error) {
 	sig, key := Signature(batch)
 	if inc != nil && inc.key == key && SigsEqual(inc.sig, sig) {
 		if !speculative {
@@ -465,7 +456,7 @@ func (s *Solver) solveWarm(ctx context.Context, batch []int, inc *Incumbent, spe
 	if err != nil {
 		return Result{}, nil, err
 	}
-	return res, &Incumbent{sig: sig, key: key, res: res, store: warm.next, warmHits: warm.hits}, nil
+	return res, &incumbent{sig: sig, key: key, res: res, store: warm.next, warmHits: warm.hits}, nil
 }
 
 // publishStore publishes a reused incumbent's micro-plan store into the
@@ -554,10 +545,4 @@ func (ms *microStore) put(sig []int32, key uint64, p planner.MicroPlan) {
 	ms.mu.Lock()
 	ms.m[key] = storeEntry{sig: sig, plan: p}
 	ms.mu.Unlock()
-}
-
-func (ms *microStore) len() int {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	return len(ms.m)
 }

@@ -51,7 +51,7 @@ func plansJSON(t *testing.T, res Result) string {
 }
 
 // waitIncumbent polls until the stream's speculative incumbent lands.
-func waitIncumbent(t *testing.T, st *Stream) *Incumbent {
+func waitIncumbent(t *testing.T, st *Stream) *incumbent {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
@@ -85,14 +85,14 @@ func TestSolveWarmByteIdenticalToCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, inc2, err := warm.SolveWarm(context.Background(), batch, inc)
+	got, inc2, err := warm.solveWarm(context.Background(), batch, inc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g, w := plansJSON(t, got), plansJSON(t, want); g != w {
 		t.Fatalf("warm-started plans diverge from cold:\nwarm %s\ncold %s", g, w)
 	}
-	if inc2.WarmHits() == 0 {
+	if inc2.warmHits == 0 {
 		t.Fatal("full-batch warm solve hit nothing in the prefix incumbent's store")
 	}
 	// Cache parity: the final solve publishes warm hits too, so the warm
@@ -113,7 +113,7 @@ func TestSolveWarmWholeBatchReuse(t *testing.T) {
 	if s.CacheCovers(batch) {
 		t.Fatal("speculative solve leaked plans into the shared cache")
 	}
-	res, _, err := s.SolveWarm(context.Background(), batch, inc)
+	res, _, err := s.solveWarm(context.Background(), batch, inc, false)
 	if err != nil {
 		t.Fatal(err)
 	}

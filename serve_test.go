@@ -2,23 +2,33 @@ package flexsp_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
 	"flexsp"
 	"flexsp/internal/cluster"
 	"flexsp/internal/server"
+	"flexsp/internal/workload"
 )
 
-// elasticDaemon serves an elastic daemon over 64 A100s (8 nodes of 8).
-func elasticDaemon(t *testing.T, debounce time.Duration) *flexsp.Client {
+// elasticDaemon serves an elastic daemon over 64 A100s (8 nodes of 8). The
+// boot events are applied to the fleet before the daemon is built, so it
+// starts on that fleet rather than replanning onto it.
+func elasticDaemon(t *testing.T, debounce time.Duration, boot ...flexsp.TopologyEvent) *flexsp.Client {
 	t.Helper()
 	sys, err := flexsp.NewSystem(flexsp.Config{Devices: 64, Model: flexsp.GPT7B,
 		Serve: flexsp.ServeConfig{Elastic: true, ReplanDebounce: debounce}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(boot) > 0 {
+		if _, err := sys.Topology().Apply(boot...); err != nil {
+			t.Fatal(err)
+		}
 	}
 	srv, err := sys.NewServer()
 	if err != nil {
@@ -28,6 +38,26 @@ func elasticDaemon(t *testing.T, debounce time.Duration) *flexsp.Client {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return flexsp.NewClient(ts.URL)
+}
+
+// waitReplanned polls until the daemon's plan state has caught up with its
+// topology.
+func waitReplanned(t *testing.T, client *flexsp.Client) server.TopologyResponse {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		topo, err := client.Topology(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if topo.Replans >= 1 && !topo.Degraded {
+			return topo
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replan never landed: %+v", topo)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // planEveryStrategy posts one batch under every registered strategy.
@@ -51,26 +81,11 @@ func planEveryStrategy(t *testing.T, client *flexsp.Client) map[string]server.Pl
 func TestElasticDaemonPlansLiveFleet(t *testing.T) {
 	const live = 56
 	client := elasticDaemon(t, -1)
-	ctx := context.Background()
-	if _, err := client.ApplyTopology(ctx, flexsp.TopologyEvent{Kind: cluster.EventNodeDown, Node: 7}); err != nil {
+	if _, err := client.ApplyTopology(context.Background(), flexsp.TopologyEvent{Kind: cluster.EventNodeDown, Node: 7}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		topo, err := client.Topology(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if topo.Replans >= 1 && !topo.Degraded {
-			if topo.Devices != live {
-				t.Fatalf("live devices = %d, want %d", topo.Devices, live)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replan never landed: %+v", topo)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if topo := waitReplanned(t, client); topo.Devices != live {
+		t.Fatalf("live devices = %d, want %d", topo.Devices, live)
 	}
 
 	for name, env := range planEveryStrategy(t, client) {
@@ -116,6 +131,54 @@ func TestElasticDaemonDegradedWindow(t *testing.T) {
 	for name, env := range planEveryStrategy(t, client) {
 		if !env.Degraded {
 			t.Errorf("%s: served inside the degraded window without \"degraded\": true", name)
+		}
+	}
+}
+
+// TestReplannedDaemonAnswersLikeBootedOne pins that a replan carries no
+// plans over from the old fleet: a daemon that planned a batch before a
+// topology event plans it again, after the replan, exactly as a daemon
+// booted on the new fleet does — the envelopes match in every field but the
+// solve's wall time. Seeds 1-6 rotate the three corpora over 64 sequences
+// at 192K.
+func TestReplannedDaemonAnswersLikeBootedOne(t *testing.T) {
+	corpora := []func() workload.Dataset{flexsp.CommonCrawl, flexsp.GitHub, flexsp.Wikipedia}
+	events := []flexsp.TopologyEvent{
+		{Kind: cluster.EventNodeDown, Node: 3},
+		{Kind: cluster.EventStraggle, Node: 2, Factor: 1.5},
+		{Kind: cluster.EventNodeDown, Node: 7},
+		{Kind: cluster.EventStraggle, Node: 5, Factor: 1.5},
+	}
+	ctx := context.Background()
+	plan := func(t *testing.T, client *flexsp.Client, batch []int) server.PlanEnvelope {
+		t.Helper()
+		env, err := client.Plan(ctx, flexsp.PlanRequest{Lengths: batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.SolveWallSeconds = 0
+		if env.Flat != nil {
+			env.Flat.SolveWallSeconds = 0
+		}
+		return env
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		batch := corpora[(seed-1)%3]().Batch(rand.New(rand.NewSource(seed)), 64, 192<<10)
+		for _, ev := range events {
+			t.Run(fmt.Sprintf("seed=%d/%s", seed, ev), func(t *testing.T) {
+				replanned := elasticDaemon(t, -1)
+				plan(t, replanned, batch)
+				if _, err := replanned.ApplyTopology(ctx, ev); err != nil {
+					t.Fatal(err)
+				}
+				waitReplanned(t, replanned)
+				got := plan(t, replanned, batch)
+				want := plan(t, elasticDaemon(t, -1, ev), batch)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("replanned daemon's plan (est %.6gs) differs from a booted daemon's (est %.6gs)",
+						got.EstTime, want.EstTime)
+				}
+			})
 		}
 	}
 }
