@@ -480,12 +480,6 @@ func (s *System) Train(ctx context.Context, iters int, opts PlanOptions, nextBat
 	return out, nil
 }
 
-// NewService starts a disaggregated solver service (§5) over this system's
-// solver.
-func (s *System) NewService(workers int) *solver.Service {
-	return solver.NewService(s.Solver, workers)
-}
-
 // NewServer builds the HTTP planning daemon (§5 as a standalone service)
 // over this system, configured by Config.Serve. It serves the versioned wire
 // protocol: POST /v2/plan dispatches every registered strategy by name. The

@@ -239,10 +239,9 @@ type Snapshot struct {
 	Nodes []int
 	// Classes is the effective class per planning node, parallel to Nodes.
 	Classes []DeviceClass
-	// Health and Factors record every physical node's state (including
-	// down nodes), so fault injectors can work purely off snapshots.
-	Health  []Health
-	Factors []float64
+	// Health records every physical node's state (including down nodes),
+	// so fault injectors can work purely off snapshots.
+	Health []Health
 	// Down and Straggling count physical nodes in those states.
 	Down       int
 	Straggling int
@@ -256,11 +255,9 @@ func (e *Elastic) Snapshot() Snapshot {
 		Version: e.version,
 		Per:     e.per,
 		Health:  make([]Health, len(e.nodes)),
-		Factors: make([]float64, len(e.nodes)),
 	}
 	for phys, n := range e.nodes {
 		s.Health[phys] = n.health
-		s.Factors[phys] = n.factor
 		switch n.health {
 		case Down:
 			s.Down++

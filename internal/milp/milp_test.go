@@ -3,6 +3,7 @@ package milp
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -358,5 +359,24 @@ func TestRandomIntegerMILPsAgainstBruteForce(t *testing.T) {
 		if sol.Status != StatusOptimal || !almostEq(sol.Obj, best) {
 			t.Fatalf("trial %d: solver %v (%v) vs brute force %v", trial, sol.Obj, sol.Status, best)
 		}
+	}
+}
+
+// WriteLP is the canonical text the planner's model golden hashes: terms in
+// insertion order, shortest round-trip floats, integrality on the bounds.
+func TestWriteLP(t *testing.T) {
+	m := NewModel()
+	c := m.AddVar(0, Inf, 1, false, "C")
+	a := m.AddVar(0, 3, 0, true, "A")
+	m.AddConstraint([]Term{{c, -1}, {a, 0.1}}, LE, 0, "time")
+	m.AddConstraint([]Term{{a, 1}}, EQ, 2, "assign")
+	var b strings.Builder
+	if err := m.WriteLP(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := "minimize\n 1 C_0\nsubject to\n time_0: -1 C_0 0.1 A_1 <= 0\n assign_1: 1 A_1 == 2\n" +
+		"bounds\n 0 <= C_0 <= +Inf\n 0 <= A_1 <= 3 integer\nend\n"
+	if b.String() != want {
+		t.Fatalf("WriteLP:\n%s\nwant:\n%s", b.String(), want)
 	}
 }

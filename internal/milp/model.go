@@ -15,8 +15,11 @@
 package milp
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"math"
+	"strconv"
 )
 
 // Sense is a linear constraint relation.
@@ -107,6 +110,40 @@ func (m *Model) AddConstraint(terms []Term, sense Sense, rhs float64, name strin
 
 // VarName returns the variable's name.
 func (m *Model) VarName(i int) string { return m.names[i] }
+
+// WriteLP writes the model as canonical text: the objective, every
+// constraint in insertion order with its terms in insertion order, and every
+// variable's bounds and integrality. Variables and constraints are named
+// name_index, and numbers are written in their shortest round-trip form, so
+// two models write the same bytes exactly when they are built alike.
+func (m *Model) WriteLP(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	num := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	bw.WriteString("minimize\n")
+	for i, c := range m.obj {
+		if c != 0 {
+			fmt.Fprintf(bw, " %s %s_%d", num(c), m.names[i], i)
+		}
+	}
+	bw.WriteString("\nsubject to\n")
+	for j, c := range m.constrs {
+		fmt.Fprintf(bw, " %s_%d:", c.Name, j)
+		for _, t := range c.Terms {
+			fmt.Fprintf(bw, " %s %s_%d", num(t.Coef), m.names[t.Var], t.Var)
+		}
+		fmt.Fprintf(bw, " %v %s\n", c.Sense, num(c.RHS))
+	}
+	bw.WriteString("bounds\n")
+	for i := range m.lb {
+		kind := ""
+		if m.integer[i] {
+			kind = " integer"
+		}
+		fmt.Fprintf(bw, " %s <= %s_%d <= %s%s\n", num(m.lb[i]), m.names[i], i, num(m.ub[i]), kind)
+	}
+	bw.WriteString("end\n")
+	return bw.Flush()
+}
 
 // Objective evaluates the objective at x.
 func (m *Model) Objective(x []float64) float64 {

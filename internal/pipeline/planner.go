@@ -32,8 +32,6 @@ type Planner struct {
 	Trials int
 	// Strategy selects the per-stage planning algorithm.
 	Strategy planner.Strategy
-	// Parallel solves PP candidates and micro-batch plans concurrently.
-	Parallel bool
 	// IncludeZeRO charges exposed per-stage ZeRO time in the simulated
 	// schedules (and therefore in the PP comparison).
 	IncludeZeRO bool
@@ -59,7 +57,7 @@ func NewHeteroPlanner(h costmodel.HeteroCoeffs) *Planner {
 }
 
 func newPlanner(base costmodel.Coeffs, newPipe func(pp, m int) (Pipeline, error)) *Planner {
-	return &Planner{Base: base, Degrees: DefaultDegrees, Trials: blaster.DefaultTrials, Parallel: true, newPipe: newPipe}
+	return &Planner{Base: base, Degrees: DefaultDegrees, Trials: blaster.DefaultTrials, newPipe: newPipe}
 }
 
 // Candidate summarizes one swept PP degree.
@@ -140,19 +138,12 @@ func (jp *Planner) SolveContext(ctx context.Context, batch []int) (Result, error
 	}
 
 	outs := make([]outcome, len(sweep))
-	run := func(i int) { outs[i] = jp.solveDegree(ctx, batch, sweep[i]) }
-	if jp.Parallel {
-		var wg sync.WaitGroup
-		for i := range sweep {
-			wg.Add(1)
-			go func(i int) { defer wg.Done(); run(i) }(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range sweep {
-			run(i)
-		}
+	var wg sync.WaitGroup
+	for i := range sweep {
+		wg.Add(1)
+		go func(i int) { defer wg.Done(); outs[i] = jp.solveDegree(ctx, batch, sweep[i]) }(i)
 	}
+	wg.Wait()
 
 	res := Result{Time: math.Inf(1)}
 	for _, o := range outs {
@@ -290,18 +281,12 @@ func (jp *Planner) planM(ctx context.Context, batch []int, pp, m int) (Pipeline,
 			}
 		}
 	}
-	if jp.Parallel {
-		var wg sync.WaitGroup
-		for j := range micro {
-			wg.Add(1)
-			go func(j int) { defer wg.Done(); planOne(j) }(j)
-		}
-		wg.Wait()
-	} else {
-		for j := range micro {
-			planOne(j)
-		}
+	var wg sync.WaitGroup
+	for j := range micro {
+		wg.Add(1)
+		go func(j int) { defer wg.Done(); planOne(j) }(j)
 	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return Pipeline{}, nil, ScheduleResult{}, err

@@ -18,7 +18,7 @@ type item struct {
 }
 
 // bucketize applies the planner's bucketing mode to the micro-batch. It must
-// not write to the receiver: one Planner is shared by solver.Service workers.
+// not write to the receiver: one Planner is shared by concurrent solves.
 func (pl *Planner) bucketize(lens []int) []bucket.Bucket {
 	switch pl.Bucketing {
 	case BucketNaive:

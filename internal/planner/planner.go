@@ -2,6 +2,7 @@ package planner
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"flexsp/internal/bucket"
@@ -83,7 +84,7 @@ func (pl *Planner) WithStyle(s costmodel.CommStyle) *Planner {
 }
 
 // effectiveQ resolves the bucket count without mutating the receiver (a
-// Planner is shared by solver.Service workers, so defaulting must not write
+// Planner is shared by concurrent solves, so defaulting must not write
 // through the pointer).
 func (pl *Planner) effectiveQ() int {
 	if pl.Q > 0 {
@@ -127,15 +128,10 @@ func (pl *Planner) PlanContext(ctx context.Context, lens []int) (MicroPlan, erro
 	return mp, err
 }
 
-// planDispatch routes to the strategy implementation. The two MILP
-// formulations are different models (per-degree counts vs per-slot
-// binaries), so the MILP strategy picks one by whether the planner places.
+// planDispatch routes to the strategy implementation.
 func (pl *Planner) planDispatch(ctx context.Context, lens []int) (MicroPlan, error) {
 	switch pl.Strategy {
 	case StrategyMILP:
-		if pl.Places() {
-			return pl.planPlacedMILP(ctx, lens)
-		}
 		return pl.planMILP(ctx, lens)
 	case StrategyGreedy:
 		return pl.planGreedy(lens)
@@ -144,10 +140,10 @@ func (pl *Planner) planDispatch(ctx context.Context, lens []int) (MicroPlan, err
 	}
 }
 
-// PlanHomogeneous finds the best single-degree plan for the micro-batch: all
-// groups share one SP degree d, the micro-batch's sequences are spread over
-// the N/d groups with the balanced LPT heuristic, and the d minimizing the
-// makespan wins. It is the homogeneous reference that
+// PlanHomogeneous finds the best single-degree plan for the micro-batch:
+// the PlanFixedDegree plan of the degree d minimizing the makespan, over
+// every degree from the smallest that holds the longest sequence up to
+// min(MaxDegree, N). It is the homogeneous reference that
 // TestEnumDominatesHomogeneous holds the flexible planners against; the
 // FlexSP-BatchAda baseline (§6.1) is separate code, baselines.BatchAda.
 func (pl *Planner) PlanHomogeneous(lens []int) (MicroPlan, error) {
@@ -155,35 +151,14 @@ func (pl *Planner) PlanHomogeneous(lens []int) (MicroPlan, error) {
 		return MicroPlan{}, nil
 	}
 	c := pl.Coeffs
-	n := c.Topo.NumDevices()
-	maxLen := 0
-	for _, l := range lens {
-		if l > maxLen {
-			maxLen = l
-		}
-	}
-	minDeg := c.MinDegreeFor(maxLen)
+	minDeg := c.MinDegreeFor(slices.Max(lens))
 	if minDeg == 0 {
 		return MicroPlan{}, ErrInfeasible
 	}
-	items := itemsFromBuckets(pl.bucketize(lens))
 	var best MicroPlan
 	found := false
-	maxDeg := c.MaxDegree()
-	if maxDeg > n {
-		maxDeg = n
-	}
-	for d := minDeg; d <= maxDeg; d *= 2 {
-		degrees := make([]int, n/d)
-		for i := range degrees {
-			degrees[i] = d
-		}
-		a := newAssignment(c, degrees)
-		if !a.place(items) {
-			continue
-		}
-		a.refine(refineIters)
-		if p := a.plan(nil); !found || p.Time < best.Time {
+	for d := minDeg; d <= min(c.MaxDegree(), c.Topo.NumDevices()); d *= 2 {
+		if p, err := pl.PlanFixedDegree(lens, d); err == nil && (!found || p.Time < best.Time) {
 			best, found = p, true
 		}
 	}

@@ -23,7 +23,7 @@ import (
 //
 // The cache is sharded: entries map to one of 16 independently locked LRU
 // shards by a 64-bit FNV-1a hash of the rounded signature, so overlapping
-// solves (a Service's workers, a daemon's concurrent requests) never
+// solves (prefetching callers, a daemon's concurrent requests) never
 // serialize on a single mutex. Hash collisions are detected by comparing the
 // stored signature. Hit/miss/dedup/eviction counters are exposed via Stats
 // and Metrics.

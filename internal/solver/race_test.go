@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -11,61 +12,54 @@ import (
 	"flexsp/internal/workload"
 )
 
-// Hammer the disaggregated Service and the shared PlanCache from many
-// goroutines at once. Run with -race; the assertions check that the
-// hit/miss/creation accounting stays consistent under contention and that
-// every submitted batch yields exactly one in-order result.
+// solveConcurrently solves every batch on s from the given number of
+// goroutines, each taking an equal share in order, the way a daemon's
+// handlers and the facade's prefetching callers share one Solver.
+func solveConcurrently(t *testing.T, s *Solver, callers int, batches [][]int) {
+	t.Helper()
+	per := len(batches) / callers
+	errs := make(chan error, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for _, b := range batches[c*per : (c+1)*per] {
+				if _, err := s.SolveContext(context.Background(), b); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// Hammer one Solver and its shared PlanCache from many goroutines at once.
+// Run with -race; the assertions check that every batch solves and that the
+// hit/miss/creation accounting stays consistent under contention.
 func TestServiceAndCacheConcurrency(t *testing.T) {
 	coeffs := costmodel.Profile(costmodel.GPT7B, cluster.A100Cluster(16))
-	inner := New(planner.New(coeffs))
+	s := New(planner.New(coeffs))
 	cache := NewPlanCache(256, 256)
-	inner.Cache = cache
-	sv := NewService(inner, 4)
-	defer sv.Close()
+	s.Cache = cache
 
-	const producers, perProducer = 4, 8
+	const callers, perCaller = 4, 8
 	rng := rand.New(rand.NewSource(21))
 	// Pre-draw batches from a small pool so the cache sees repeats.
 	pool := make([][]int, 6)
 	for i := range pool {
 		pool[i] = workload.Wikipedia().Batch(rng, 24, 32<<10)
 	}
-	batches := make([][]int, producers*perProducer)
+	batches := make([][]int, callers*perCaller)
 	for i := range batches {
 		batches[i] = pool[rng.Intn(len(pool))]
 	}
-
-	// Producers submit concurrently; Submit assigns the sequence number, so
-	// consumption order is whatever order the submissions won.
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < perProducer; i++ {
-				sv.Submit(batches[p*perProducer+i])
-			}
-		}(p)
-	}
-
-	// Concurrent consumer: drain all results while submissions are racing.
-	done := make(chan error, 1)
-	go func() {
-		for i := 0; i < producers*perProducer; i++ {
-			if _, err := sv.Next(); err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	}()
-	wg.Wait()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if n := sv.Pending(); n != 0 {
-		t.Fatalf("%d results left pending", n)
-	}
+	solveConcurrently(t, s, callers, batches)
 
 	hits, misses := cache.Stats()
 	if hits+misses == 0 {
@@ -110,25 +104,19 @@ func TestServiceAndCacheConcurrency(t *testing.T) {
 }
 
 // A Planner constructed with the zero value of Q (not via planner.New) is
-// shared by all Service workers. Plan used to write the default bucket count
-// through the shared pointer on first use — a data race under concurrent
-// workers. Run with -race; the planner must also never see the write.
+// shared by every goroutine solving on its Solver. Plan used to write the
+// default bucket count through the shared pointer on first use — a data race
+// under concurrent solves. Run with -race; the planner must also never see
+// the write.
 func TestServiceZeroQPlannerConcurrency(t *testing.T) {
 	coeffs := costmodel.Profile(costmodel.GPT7B, cluster.A100Cluster(16))
 	shared := &planner.Planner{Coeffs: coeffs} // Q == 0 on purpose
-	sv := NewService(New(shared), 4)
-	defer sv.Close()
-
 	rng := rand.New(rand.NewSource(5))
-	const batches = 16
-	for i := 0; i < batches; i++ {
-		sv.Submit(workload.Wikipedia().Batch(rng, 24, 32<<10))
+	batches := make([][]int, 16)
+	for i := range batches {
+		batches[i] = workload.Wikipedia().Batch(rng, 24, 32<<10)
 	}
-	for i := 0; i < batches; i++ {
-		if _, err := sv.Next(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	solveConcurrently(t, New(shared), 4, batches)
 	if shared.Q != 0 {
 		t.Fatalf("solver workers mutated the shared planner's Q to %d", shared.Q)
 	}

@@ -16,9 +16,9 @@
 // solve already answer skip the planner.
 //
 // One solve runs on its caller's goroutine. Parallelism lives a level up:
-// the Service type disaggregates solving from execution (§5), solving future
-// batches in the background and handing plans to the executor in order, and
-// the daemon solves concurrent requests side by side.
+// callers that disaggregate solving from execution (§5) prefetch future
+// batches through the facade's System.Plan on their own goroutines, and the
+// daemon solves concurrent requests side by side.
 package solver
 
 import (

@@ -104,51 +104,6 @@ func TestSortAblationChangesPlans(t *testing.T) {
 	}
 }
 
-func TestServiceOrderingAndOverlap(t *testing.T) {
-	s := newSolver()
-	sv := NewService(s, 4)
-	defer sv.Close()
-	rng := rand.New(rand.NewSource(6))
-	var batches [][]int
-	for i := 0; i < 6; i++ {
-		batches = append(batches, workload.CommonCrawl().Batch(rng, 64, 64<<10))
-	}
-	// Submit everything up front (prefetching), then consume in order.
-	for _, b := range batches {
-		sv.Submit(b)
-	}
-	if sv.Pending() != 6 {
-		t.Fatalf("Pending = %d, want 6", sv.Pending())
-	}
-	var direct []Result
-	for _, b := range batches {
-		r, err := s.Solve(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct = append(direct, r)
-	}
-	for i := range batches {
-		r, err := sv.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.M != direct[i].M || r.Time != direct[i].Time {
-			t.Fatalf("batch %d: service (M=%d %.4f) != direct (M=%d %.4f)",
-				i, r.M, r.Time, direct[i].M, direct[i].Time)
-		}
-	}
-	if sv.Pending() != 0 {
-		t.Fatalf("Pending = %d after draining", sv.Pending())
-	}
-}
-
-func TestServiceCloseIdempotent(t *testing.T) {
-	sv := NewService(newSolver(), 2)
-	sv.Close()
-	sv.Close()
-}
-
 // TestWideningFallback forces the [M_min, M_min+M′) window to be infeasible
 // (a single coarse bucket inflates every sequence to the batch maximum) so
 // the solver must widen the micro-batch count. The widened search goes
