@@ -153,9 +153,6 @@ type ServeConfig struct {
 	// StreamTimeout reaps streaming sessions idle for this long (default
 	// 60s; negative disables the idle timeout).
 	StreamTimeout time.Duration
-	// StreamWatermarks overrides the default speculation watermarks
-	// (25/50/75/90%) for streams opened without their own.
-	StreamWatermarks []float64
 	// Elastic turns on live-topology planning: the daemon accepts
 	// POST /v2/topology events (node loss, stragglers, rejoin) against the
 	// system's elastic topology and replans in the background by rebuilding
@@ -520,7 +517,6 @@ func (s *System) NewServer() (*server.Server, error) {
 		TraceEntries:     s.serve.TraceEntries,
 		StreamLimit:      s.serve.StreamLimit,
 		StreamTimeout:    s.serve.StreamTimeout,
-		StreamWatermarks: s.serve.StreamWatermarks,
 		Logger:           s.serve.Logger,
 	})
 }

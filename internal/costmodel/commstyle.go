@@ -85,19 +85,47 @@ func (c Coeffs) commTimeSums(sumS, sumS2 float64, degree int) float64 {
 	}
 }
 
-// CommUnitTime is a linear (conservative for ring CP, exact for Ulysses)
-// per-token communication bound at the given degree, used where linearity is
-// required (the MILP formulation).
-func (c Coeffs) CommUnitTime(degree int) float64 {
+// Piece is one affine piece of a group's Eq. 14 time in the running sums Σs
+// and Σs² (see Coeffs.Pieces).
+type Piece struct {
+	// Alpha1 and Alpha2 multiply Σs² and Σs; D is the degree dividing them.
+	Alpha1, Alpha2, D float64
+	// Beta1 is the compute launch overhead.
+	Beta1 float64
+	// Comm is the per-token communication seconds and Beta2 its launch
+	// overhead, both 0 at degree 1.
+	Comm, Beta2 float64
+}
+
+// Time evaluates the piece as (α1·Σs² + α2·Σs)/d + β1 + (Σs·comm + β2): the
+// compute term, then the communication term, with the launch overheads
+// kept apart so that a Ulysses piece sums exactly as the planner's affine
+// forms always have.
+func (p Piece) Time(sumS, sumS2 float64) float64 {
+	return (p.Alpha1*sumS2+p.Alpha2*sumS)/p.D + p.Beta1 + (sumS*p.Comm + p.Beta2)
+}
+
+// Pieces returns the affine pieces in (Σs², Σs) whose maximum is the Eq. 14
+// time of a non-empty degree-d group: GroupTimeSums up to rounding, in a
+// form linear consumers (the planner's assignment scan, the MILP rows, the
+// lower bound) can use. Ulysses, and any group at degree 1, has one piece.
+// Ring CP at d > 1 has two, because its traffic hides under attention: the
+// compute-bound (α1·Σs² + α2·Σs)/d + β1 + β2, and the traffic-bound
+// α2·Σs/d + ρ(d)·Σs + β1 + β2, where ρ(d) is the per-token ring time.
+func (c Coeffs) Pieces(degree int) []Piece {
+	p := Piece{Alpha1: c.Alpha1, Alpha2: c.Alpha2, D: float64(degree), Beta1: c.Beta1}
 	if degree <= 1 {
-		return 0
+		return []Piece{p}
 	}
-	switch c.Style {
-	case StyleRingCP:
-		return c.ringPerTokenTime(degree)
-	default:
-		return c.Topo.AllToAllTime(c.AllToAllBytesPerToken, degree)
+	p.Beta2 = c.Beta2
+	if c.Style != StyleRingCP {
+		p.Comm = c.Topo.AllToAllTime(c.AllToAllBytesPerToken, degree)
+		return []Piece{p}
 	}
+	traffic := p
+	traffic.Alpha1 = 0
+	traffic.Comm = c.ringPerTokenTime(degree)
+	return []Piece{p, traffic}
 }
 
 // WithStyle returns the coefficients with the communication style replaced.

@@ -1,6 +1,8 @@
 package costmodel
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"flexsp/internal/cluster"
@@ -64,20 +66,54 @@ func TestGroupTimeSumsConsistency(t *testing.T) {
 	}
 }
 
-func TestCommUnitTimeLinearBound(t *testing.T) {
-	c := ringCoeffs()
-	// The linear unit bound must never be below the exposed ring time.
-	lens := []int{8 << 10, 8 << 10}
-	var sumS float64
-	for _, l := range lens {
-		sumS += float64(l)
-	}
-	bound := sumS*c.CommUnitTime(16) + c.Beta2
-	actual := c.CommTime(lens, 16)
-	if actual > bound+1e-9 {
-		t.Fatalf("exposed ring %.4f exceeds linear bound %.4f", actual, bound)
-	}
-	if c.CommUnitTime(1) != 0 {
-		t.Fatal("degree-1 unit comm should be zero")
+// The largest of Pieces(d) is the group's Eq. 14 time: it equals
+// GroupTimeSums to 1e-12 relative under both communication styles, at every
+// degree, on a scalar fleet and on every aligned range of an A100+H100 one.
+// The batches run from short sequences, whose ring traffic is exposed, to
+// long ones, whose traffic hides under attention, so each ring piece is the
+// larger one somewhere.
+func TestPiecesMaxEqualsGroupTimeSums(t *testing.T) {
+	m := mixed(t,
+		cluster.ClassCount{Class: cluster.A100_40G, Devices: 32},
+		cluster.ClassCount{Class: cluster.H100, Devices: 32})
+	hc := ProfileMixed(GPT7B, m)
+	batches := [][]int{{500}, {4 << 10}, {1000, 3000, 9000}, {64 << 10, 8 << 10}, {256 << 10}}
+	for _, style := range []CommStyle{StyleUlysses, StyleRingCP} {
+		binds := make([]int, 2)
+		check := func(where string, c Coeffs, d int) {
+			pieces, want := c.Pieces(d), 1
+			if style == StyleRingCP && d > 1 {
+				want = 2
+			}
+			if len(pieces) != want {
+				t.Fatalf("%s %s d=%d: %d pieces, want %d", style, where, d, len(pieces), want)
+			}
+			for _, lens := range batches {
+				sumS, sumS2 := sums(lens)
+				got, arg := 0.0, 0
+				for i, p := range pieces {
+					if pt := p.Time(sumS, sumS2); pt > got {
+						got, arg = pt, i
+					}
+				}
+				binds[arg]++
+				if want := c.GroupTimeSums(sumS, sumS2, d); math.Abs(got-want) > 1e-12*want {
+					t.Errorf("%s %s d=%d lens %v: max piece %.15g, GroupTimeSums %.15g", style, where, d, lens, got, want)
+				}
+			}
+		}
+		c := Profile(GPT7B, cluster.A100Cluster(64)).WithStyle(style)
+		for _, d := range c.SPDegrees() {
+			check("scalar", c, d)
+		}
+		h := hc.WithStyle(style)
+		for _, d := range h.SPDegrees() {
+			for _, r := range m.AlignedSlots(d) {
+				check(fmt.Sprintf("range %v", r), h.Group(r).Coeffs, d)
+			}
+		}
+		if style == StyleRingCP && (binds[0] == 0 || binds[1] == 0) {
+			t.Errorf("ring pieces never both bind: compute %d, traffic %d", binds[0], binds[1])
+		}
 	}
 }

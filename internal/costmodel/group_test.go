@@ -57,9 +57,6 @@ func TestHeterogeneousSingleClassEquivalence(t *testing.T) {
 		if a, b := got.MaxTokensPerDevice(), want.MaxTokensPerDevice(); a != b {
 			t.Errorf("range %v MaxTokensPerDevice = %d, legacy %d", tc.r, a, b)
 		}
-		if a, b := got.CommUnitTime(tc.d), want.CommUnitTime(tc.d); a != b {
-			t.Errorf("range %v CommUnitTime = %g, legacy %g", tc.r, a, b)
-		}
 	}
 	if got, want := hc.ClusterTokenCapacity(), legacy.ClusterTokenCapacity(); got != want {
 		t.Errorf("ClusterTokenCapacity = %d, legacy %d", got, want)

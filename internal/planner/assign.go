@@ -49,10 +49,10 @@ func itemsFromBuckets(buckets []bucket.Bucket) []item {
 }
 
 // groupMemo caches what reconfigure derives per group — its coefficients,
-// token capacity and linear per-token communication factor — so the
-// hundreds of candidate configurations one Plan call scans derive each
-// distinct group once: per degree when every range prices alike (or the
-// group is unplaced), per aligned slot on a mixed fleet.
+// token capacity and affine time pieces — so the hundreds of candidate
+// configurations one Plan call scans derive each distinct group once: per
+// degree when every range prices alike (or the group is unplaced), per
+// aligned slot on a mixed fleet.
 type groupMemo struct {
 	pr       costmodel.Pricing
 	uniform  bool
@@ -67,7 +67,10 @@ type groupMemo struct {
 type groupPrice struct {
 	c         costmodel.Coeffs
 	capTokens int64
-	commPT    float64
+	// pieces are the (Σs², Σs, 1) coefficients of the group's time pieces
+	// (costmodel.Coeffs.Pieces, at most two); the second is zero when the
+	// group has one.
+	pieces [2][3]float64
 }
 
 func newGroupMemo(pr costmodel.Pricing) *groupMemo {
@@ -102,7 +105,11 @@ func (gm *groupMemo) get(d int, r cluster.DeviceRange) *groupPrice {
 
 func (gm *groupMemo) price(d int, r cluster.DeviceRange) *groupPrice {
 	c := gm.pr.Group(r)
-	return &groupPrice{c: c, capTokens: int64(c.MaxTokensPerGroup(d)), commPT: c.CommUnitTime(d)}
+	gp := &groupPrice{c: c, capTokens: int64(c.MaxTokensPerGroup(d))}
+	for i, p := range c.Pieces(d) {
+		gp.pieces[i] = [3]float64{p.Alpha1 / p.D, p.Alpha2/p.D + p.Comm, p.Beta1 + p.Beta2}
+	}
+	return gp
 }
 
 // assignment is the incremental state of placing items onto a fixed group
@@ -122,19 +129,14 @@ type assignment struct {
 	degrees   []int
 	ranges    []cluster.DeviceRange // empty when the groups are unplaced
 	capTokens []int64
-	// commPT[g] is the linear per-token communication factor for group g
-	// (per-token all-to-all time, or the ring traffic time for CP); with it
-	// the group time is O(1) in the running sums for both styles.
-	commPT []float64
-	ringCP bool
 
-	// For the all-to-all style the group time is affine in the running sums:
-	// t_g = pA·Σs² + pB·Σs + pC with pA = α1/d, pB = α2/d + commPT, and
-	// pC the fixed β terms. partial caches that affine value for the current
-	// sums, so the LPT scan costs three flops per group instead of
-	// re-deriving Eq. 12–14 (ring CP keeps the exact clamped formula).
-	pA, pB, pC []float64
-	partial    []float64
+	// A group's time is the larger of its two affine pieces in the running
+	// sums: pA·Σs² + pB·Σs + pC and qA·Σs² + qB·Σs + qC (zero for a group
+	// with one piece). partial and qPartial cache both for the current sums,
+	// so the LPT scan costs three flops per group, and the second piece is
+	// evaluated only for a group the first ranks ahead of the best so far.
+	pA, pB, pC, qA, qB, qC []float64
+	partial, qPartial      []float64
 
 	members [][]item
 	sumS    []float64
@@ -149,40 +151,29 @@ func newAssignmentShell(k int) *assignment {
 	return a
 }
 
+// resize returns s with length k, reusing its backing array when it can.
+func resize[T any](s []T, k int) []T {
+	if cap(s) < k {
+		return make([]T, k)
+	}
+	return s[:k]
+}
+
 // grow resizes the per-group slices to k groups, reusing backing arrays and
 // clearing per-group state.
 func (a *assignment) grow(k int) {
-	if cap(a.cs) < k {
-		a.cs = make([]*costmodel.Coeffs, k)
-		a.degrees = make([]int, k)
-		a.capTokens = make([]int64, k)
-		a.commPT = make([]float64, k)
-		a.pA = make([]float64, k)
-		a.pB = make([]float64, k)
-		a.pC = make([]float64, k)
-		a.partial = make([]float64, k)
-		old := a.members
-		a.members = make([][]item, k)
-		copy(a.members, old)
-		a.sumS = make([]float64, k)
-		a.sumS2 = make([]float64, k)
-		a.tokens = make([]int64, k)
-		a.times = make([]float64, k)
-	} else {
-		a.cs = a.cs[:k]
-		a.degrees = a.degrees[:k]
-		a.capTokens = a.capTokens[:k]
-		a.commPT = a.commPT[:k]
-		a.pA = a.pA[:k]
-		a.pB = a.pB[:k]
-		a.pC = a.pC[:k]
-		a.partial = a.partial[:k]
-		a.members = a.members[:k]
-		a.sumS = a.sumS[:k]
-		a.sumS2 = a.sumS2[:k]
-		a.tokens = a.tokens[:k]
-		a.times = a.times[:k]
+	a.cs = resize(a.cs, k)
+	a.degrees = resize(a.degrees, k)
+	a.capTokens = resize(a.capTokens, k)
+	a.pA, a.pB, a.pC = resize(a.pA, k), resize(a.pB, k), resize(a.pC, k)
+	a.qA, a.qB, a.qC = resize(a.qA, k), resize(a.qB, k), resize(a.qC, k)
+	a.partial, a.qPartial = resize(a.partial, k), resize(a.qPartial, k)
+	a.sumS, a.sumS2 = resize(a.sumS, k), resize(a.sumS2, k)
+	a.tokens, a.times = resize(a.tokens, k), resize(a.times, k)
+	if cap(a.members) < k {
+		a.members = append(a.members[:cap(a.members)], make([][]item, k-cap(a.members))...)
 	}
+	a.members = a.members[:k]
 	for g := 0; g < k; g++ {
 		a.members[g] = a.members[g][:0]
 		a.sumS[g] = 0
@@ -191,7 +182,6 @@ func (a *assignment) grow(k int) {
 		a.times[g] = 0
 	}
 	a.ranges = a.ranges[:0]
-	a.ringCP = false
 }
 
 // newAssignment builds the assignment of unplaced groups of the given
@@ -216,50 +206,11 @@ func (a *assignment) reconfigure(memo *groupMemo, degrees []int, ranges []cluste
 		}
 		gp := memo.get(d, r)
 		a.cs[g] = &gp.c
-		a.capTokens[g], a.commPT[g] = gp.capTokens, gp.commPT
-		if gp.c.Style == costmodel.StyleRingCP {
-			a.ringCP = true
-		}
-		a.setAffine(g)
+		a.capTokens[g] = gp.capTokens
+		p, q := &gp.pieces[0], &gp.pieces[1]
+		a.pA[g], a.pB[g], a.pC[g], a.partial[g] = p[0], p[1], p[2], p[2]
+		a.qA[g], a.qB[g], a.qC[g], a.qPartial[g] = q[0], q[1], q[2], q[2]
 	}
-}
-
-// setAffine derives group g's affine time coefficients from its cost model,
-// degree, and per-token communication factor.
-func (a *assignment) setAffine(g int) {
-	c := a.cs[g]
-	d := float64(a.degrees[g])
-	a.pA[g] = c.Alpha1 / d
-	a.pB[g] = c.Alpha2 / d
-	a.pC[g] = c.Beta1
-	if a.degrees[g] > 1 {
-		a.pB[g] += a.commPT[g]
-		a.pC[g] += c.Beta2
-	}
-	a.partial[g] = a.pC[g]
-}
-
-// timeSums is the inlined equivalent of Coeffs.GroupTimeSums using the
-// precomputed per-token communication factors (hot path of place/refine;
-// consistency with GroupTimeSums is asserted by tests).
-func (a *assignment) timeSums(g int, sumS, sumS2 float64) float64 {
-	if sumS == 0 {
-		return 0
-	}
-	if !a.ringCP {
-		return a.pA[g]*sumS2 + a.pB[g]*sumS + a.pC[g]
-	}
-	c := a.cs[g]
-	d := float64(a.degrees[g])
-	comp := (c.Alpha1*sumS2+c.Alpha2*sumS)/d + c.Beta1
-	if a.degrees[g] <= 1 {
-		return comp
-	}
-	comm := sumS*a.commPT[g] - c.Alpha1*sumS2/d // attention overlap
-	if comm < 0 {
-		comm = 0
-	}
-	return comp + comm + c.Beta2
 }
 
 // groupTime is the Eq. 14 estimate for group g's current members.
@@ -270,10 +221,11 @@ func (a *assignment) groupTime(g int) float64 {
 // timeWith is groupTime with a hypothetical extra item.
 func (a *assignment) timeWith(g int, it item) float64 {
 	s := float64(it.rep)
-	if !a.ringCP {
-		return a.partial[g] + a.pA[g]*s*s + a.pB[g]*s
+	t := a.partial[g] + a.pA[g]*s*s + a.pB[g]*s
+	if tq := a.qPartial[g] + a.qA[g]*s*s + a.qB[g]*s; tq > t {
+		return tq
 	}
-	return a.timeSums(g, a.sumS[g]+s, a.sumS2[g]+s*s)
+	return t
 }
 
 func (a *assignment) fits(g int, it item) bool {
@@ -302,12 +254,20 @@ func (a *assignment) remove(g, idx int) item {
 	return it
 }
 
-// syncGroup refreshes the cached affine partial and group time from the
+// syncGroup refreshes the cached affine partials and group time from the
 // running sums (recomputed rather than incrementally updated, so the caches
 // never drift from the sums across add/remove cycles).
 func (a *assignment) syncGroup(g int) {
 	a.partial[g] = a.pA[g]*a.sumS2[g] + a.pB[g]*a.sumS[g] + a.pC[g]
-	a.times[g] = a.timeSums(g, a.sumS[g], a.sumS2[g])
+	a.qPartial[g] = a.qA[g]*a.sumS2[g] + a.qB[g]*a.sumS[g] + a.qC[g]
+	switch {
+	case a.sumS[g] == 0:
+		a.times[g] = 0
+	case a.qPartial[g] > a.partial[g]:
+		a.times[g] = a.qPartial[g]
+	default:
+		a.times[g] = a.partial[g]
+	}
 }
 
 func (a *assignment) makespan() float64 {
@@ -340,29 +300,22 @@ func (a *assignment) placeBounded(items []item, abort float64) (bool, float64) {
 	partial, pA, pB := a.partial, a.pA, a.pB
 	for _, it := range items {
 		best, bestT := -1, 0.0
-		if !a.ringCP {
-			// Affine fast path: t = partial[g] + pA[g]·s² + pB[g]·s.
-			rep := int64(it.rep)
-			s := float64(it.rep)
-			s2 := s * s
-			for g := 0; g < k; g++ {
-				if tokens[g]+rep > capTokens[g] {
-					continue
-				}
-				t := partial[g] + pA[g]*s2 + pB[g]*s
-				if best == -1 || t < bestT {
-					best, bestT = g, t
-				}
+		rep := int64(it.rep)
+		s := float64(it.rep)
+		s2 := s * s
+		for g := 0; g < k; g++ {
+			if tokens[g]+rep > capTokens[g] {
+				continue
 			}
-		} else {
-			for g := 0; g < k; g++ {
-				if !a.fits(g, it) {
-					continue
+			t := partial[g] + pA[g]*s2 + pB[g]*s
+			if best == -1 || t < bestT {
+				if tq := a.qPartial[g] + a.qA[g]*s2 + a.qB[g]*s; tq > t {
+					if best != -1 && tq >= bestT {
+						continue
+					}
+					t = tq
 				}
-				t := a.timeWith(g, it)
-				if best == -1 || t < bestT {
-					best, bestT = g, t
-				}
+				best, bestT = g, t
 			}
 		}
 		if best == -1 {

@@ -14,11 +14,10 @@ import (
 // plan alike. Alg. 1's bounded trial walk (internal/solver) uses
 // it to abandon a micro-batch count before planning all its micro-batches.
 //
-// Per usable SP degree d it keeps the cheapest Eq. 12–14 coefficients any
-// aligned range of size d gets (one value on a uniform fleet, the fastest
-// class on a mixed or derated one) and the most tokens such a group can
-// hold. Ring CP contributes no communication term: its overlap clamp makes
-// the per-token traffic time no lower bound on a group's exposed time.
+// Per usable SP degree d it keeps each affine piece of the group time
+// (Coeffs.Pieces) at the least coefficients any aligned range of size d
+// gets (one value on a uniform fleet, the fastest class on a mixed or
+// derated one) and the most tokens such a group can hold. β2 is left out.
 type LowerBound struct {
 	degrees []degreeBound // usable SP degrees, ascending
 	// alpha1, alpha2 and beta1 are the minima over every range.
@@ -34,12 +33,15 @@ type LowerBound struct {
 // degreeBound is the cheapest pricing of a degree-d group over the aligned
 // ranges of size d.
 type degreeBound struct {
-	d                     float64
-	alpha1, alpha2, beta1 float64
-	// comm is the per-token communication seconds (0 at d = 1 and for ring
-	// CP); dComm is the least d·comm/κ over the ranges, a sequence's
-	// speed-weighted share of the group's communication.
-	comm, dComm float64
+	// pieces are the degree's time pieces, each coefficient but β2 the
+	// least over the ranges. The first holds the compute terms and, for
+	// Ulysses, the per-token all-to-all seconds; ring CP's second holds its
+	// traffic.
+	pieces []costmodel.Piece
+	// dComm is the least d·comm/κ over the ranges, with comm the first
+	// piece's: a sequence's speed-weighted share of the group's
+	// communication.
+	dComm float64
 	// maxTokens exceeds the token count of every group of this degree that
 	// fits memory (Coeffs.Fits admits up to d·(E−M_ms)/M_token tokens, just
 	// above the integer capacity the planners use).
@@ -54,41 +56,43 @@ func (pl *Planner) LowerBound() *LowerBound {
 	n := pr.Fleet.Topo.NumDevices()
 	inf := math.Inf(1)
 	type rangePrice struct {
-		r              cluster.DeviceRange
-		degree         int // index into lb.degrees
-		alpha1, alpha2 float64
-		comm           float64
+		r      cluster.DeviceRange
+		degree int // index into lb.degrees
+		first  costmodel.Piece
 	}
 	var ranges []rangePrice // every aligned range, on a fleet that is not uniform
 	uniform := pr.Uniform()
 	lb := &LowerBound{alpha1: inf, alpha2: inf, beta1: inf}
 	for _, d := range pr.Fleet.SPDegrees() {
-		db := degreeBound{d: float64(d), alpha1: inf, alpha2: inf, beta1: inf, comm: inf, dComm: inf}
+		db := degreeBound{dComm: inf}
 		for start := 0; start+d <= n; start += d {
 			r := cluster.DeviceRange{Start: start, Size: d}
 			c := pr.Group(r)
-			comm := 0.0
-			if c.Style != costmodel.StyleRingCP {
-				comm = c.CommUnitTime(d)
+			pieces := c.Pieces(d)
+			if db.pieces == nil {
+				db.pieces = pieces
 			}
-			db.alpha1 = min(db.alpha1, c.Alpha1)
-			db.alpha2 = min(db.alpha2, c.Alpha2)
-			db.beta1 = min(db.beta1, c.Beta1)
-			db.comm = min(db.comm, comm)
+			for i, p := range pieces {
+				lp := &db.pieces[i]
+				lp.Alpha1, lp.Alpha2 = min(lp.Alpha1, p.Alpha1), min(lp.Alpha2, p.Alpha2)
+				lp.Beta1, lp.Comm = min(lp.Beta1, p.Beta1), min(lp.Comm, p.Comm)
+			}
 			db.maxTokens = max(db.maxTokens, float64(d)*float64(c.MaxTokensPerDevice()+1))
 			if uniform {
 				break
 			}
-			ranges = append(ranges, rangePrice{r: r, degree: len(lb.degrees), alpha1: c.Alpha1, alpha2: c.Alpha2, comm: comm})
+			ranges = append(ranges, rangePrice{r: r, degree: len(lb.degrees), first: pieces[0]})
 		}
-		lb.alpha1 = min(lb.alpha1, db.alpha1)
-		lb.alpha2 = min(lb.alpha2, db.alpha2)
-		lb.beta1 = min(lb.beta1, db.beta1)
+		first := db.pieces[0]
+		lb.alpha1 = min(lb.alpha1, first.Alpha1)
+		lb.alpha2 = min(lb.alpha2, first.Alpha2)
+		lb.beta1 = min(lb.beta1, first.Beta1)
 		lb.degrees = append(lb.degrees, db)
 	}
 	if uniform {
 		for i := range lb.degrees {
-			lb.degrees[i].dComm = lb.degrees[i].d * lb.degrees[i].comm
+			first := lb.degrees[i].pieces[0]
+			lb.degrees[i].dComm = first.D * first.Comm
 		}
 		lb.speed = float64(n)
 		return lb
@@ -97,16 +101,16 @@ func (pl *Planner) LowerBound() *LowerBound {
 	for _, rp := range ranges {
 		kappa := inf
 		if lb.alpha1 > 0 {
-			kappa = rp.alpha1 / lb.alpha1
+			kappa = rp.first.Alpha1 / lb.alpha1
 		}
 		if lb.alpha2 > 0 {
-			kappa = min(kappa, rp.alpha2/lb.alpha2)
+			kappa = min(kappa, rp.first.Alpha2/lb.alpha2)
 		}
 		if math.IsInf(kappa, 1) {
 			kappa = 1
 		}
 		db := &lb.degrees[rp.degree]
-		db.dComm = min(db.dComm, db.d*rp.comm/kappa)
+		db.dComm = min(db.dComm, rp.first.D*rp.first.Comm/kappa)
 		for i := rp.r.Start; i < rp.r.End(); i++ {
 			weight[i] = max(weight[i], 1/kappa)
 		}
@@ -119,12 +123,15 @@ func (pl *Planner) LowerBound() *LowerBound {
 
 // Of bounds the makespan of any plan of the micro-batch by the larger of two
 // terms. A group is never faster than any one of its sequences alone at the
-// group's degree, so the plan takes at least as long as its longest
-// sequence alone at that sequence's cheapest feasible degree. And the
-// slowest group takes at least the speed-weighted mean: a group of degree d
-// on a range of slowdown κ has d·(t − β1)/κ ≥ Σ_s (min α1·s² + min α2·s +
-// d·c·s/κ), its devices add at most d/κ to the fleet's speed, so
-// T ≥ min β1 + Σ_s (min α1·s² + min α2·s + min_d d·c(d)·s/κ) / speed.
+// group's degree, under every piece of its time, so the plan takes at least
+// as long as its longest sequence alone at that sequence's cheapest feasible
+// degree. And the slowest group takes at least the speed-weighted mean of
+// the first pieces: a group of degree d on a range of slowdown κ has
+// d·(t − β1)/κ ≥ Σ_s (min α1·s² + min α2·s + d·c·s/κ), its devices add at
+// most d/κ to the fleet's speed, so T ≥ min β1 + Σ_s (min α1·s² + min α2·s +
+// min_d d·c(d)·s/κ) / speed. Ring CP's traffic piece takes no part in that
+// mean: it binds only where the traffic of a whole group outweighs its
+// attention, which no per-sequence share captures.
 // Of is 0 for an empty micro-batch and +Inf when no degree holds the
 // longest sequence.
 func (lb *LowerBound) Of(lens []int) float64 {
@@ -147,7 +154,11 @@ func (lb *LowerBound) Of(lens []int) float64 {
 	alone := math.Inf(1)
 	for i := range lb.degrees {
 		if db := &lb.degrees[i]; s <= db.maxTokens {
-			alone = min(alone, (db.alpha1*s*s+db.alpha2*s)/db.d+db.beta1+db.comm*s)
+			t := 0.0
+			for _, p := range db.pieces {
+				t = max(t, (p.Alpha1*s*s+p.Alpha2*s)/p.D+p.Beta1+p.Comm*s)
+			}
+			alone = min(alone, t)
 		}
 	}
 	return max(alone, lb.beta1+work/lb.speed)

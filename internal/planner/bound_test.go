@@ -129,7 +129,9 @@ func TestLowerBoundBelowEnumAndGreedy(t *testing.T) {
 				t.Fatal("no micro-batch of the window was planned")
 			}
 			sort.Float64s(ratios)
-			if med := ratios[len(ratios)/2]; med < 0.6 {
+			med := ratios[len(ratios)/2]
+			t.Logf("median bound/enum ratio %.3f over %d micro-batches", med, len(ratios))
+			if med < 0.6 {
 				t.Errorf("median bound/enum ratio %.3f over %d micro-batches, want ≥ 0.6", med, len(ratios))
 			}
 		})

@@ -119,21 +119,19 @@ func (pl *Planner) buildMILP(lens []int) (*milpModel, error) {
 	}
 
 	for pi, s := range slots {
-		// Time (Cond. 18): Σ_q A·t + (β1+β2)·m_p ≤ C, with the slot's own
-		// coefficients. CommUnitTime keeps the row linear; for ring CP it is
-		// the conservative no-overlap bound.
-		beta := s.c.Beta1
-		if s.degree > 1 {
-			beta += s.c.Beta2
+		// Time (Cond. 18): Σ_q A·t + (β1+β2)·m_p ≤ C, one row per affine
+		// piece of the slot's group time (Coeffs.Pieces). C is minimised, so
+		// at an optimum it meets the largest piece of the slowest group: the
+		// rows are exact for ring CP's two pieces as for Ulysses' one.
+		for _, pc := range s.c.Pieces(s.degree) {
+			terms := []milp.Term{{Var: f.cVar, Coef: -1}, {Var: f.mVar[pi], Coef: pc.Beta1 + pc.Beta2}}
+			for qi, b := range buckets {
+				sz := float64(b.Upper)
+				unit := (pc.Alpha1*sz*sz+pc.Alpha2*sz)/pc.D + sz*pc.Comm
+				terms = append(terms, milp.Term{Var: f.aVar[qi][pi], Coef: unit})
+			}
+			m.AddConstraint(terms, milp.LE, 0, "time")
 		}
-		cu := s.c.CommUnitTime(s.degree)
-		terms := []milp.Term{{Var: f.cVar, Coef: -1}, {Var: f.mVar[pi], Coef: beta}}
-		for qi, b := range buckets {
-			sz := float64(b.Upper)
-			unit := (s.c.Alpha1*sz*sz+s.c.Alpha2*sz)/float64(s.degree) + sz*cu
-			terms = append(terms, milp.Term{Var: f.aVar[qi][pi], Coef: unit})
-		}
-		m.AddConstraint(terms, milp.LE, 0, "time")
 
 		// Memory (Cond. 19): Σ_q A·ŝ ≤ the slot's group token capacity.
 		memTerms := make([]milp.Term, 0, q)
@@ -252,7 +250,6 @@ func (f *milpModel) encode(p MicroPlan) []float64 {
 		pi := free[key][0]
 		free[key] = free[key][1:]
 		x[f.mVar[pi]] = 1
-		c := f.slots[pi].c
 		var sumS, sumS2 float64
 		for _, l := range g.Lens {
 			qi := bucketOf(l)
@@ -261,12 +258,8 @@ func (f *milpModel) encode(p MicroPlan) []float64 {
 			sumS += s
 			sumS2 += s * s
 		}
-		t := (c.Alpha1*sumS2+c.Alpha2*sumS)/float64(g.Degree) + c.Beta1
-		if g.Degree > 1 {
-			t += sumS*c.CommUnitTime(g.Degree) + c.Beta2
-		}
-		if t > maxTime {
-			maxTime = t
+		for _, pc := range f.slots[pi].c.Pieces(g.Degree) {
+			maxTime = max(maxTime, pc.Time(sumS, sumS2))
 		}
 	}
 	x[f.cVar] = maxTime + 1e-9

@@ -119,28 +119,36 @@ func TestMILPModelGolden(t *testing.T) {
 			}
 		}
 	}
-	path := filepath.Join("testdata", "milp_models.golden")
-	if *updateMILPGolden {
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+	checkGolden(t, "milp_models.golden", got.Bytes(), *updateMILPGolden, "-update-milp-golden")
+}
+
+// checkGolden compares got with testdata/name line by line, after rewriting
+// the file from got when update is set (the test flag named flagName).
+func checkGolden(t *testing.T, name string, got []byte, update bool, flagName string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (run with -update-milp-golden to regenerate)", err)
+		t.Fatalf("%v (run with %s to regenerate)", err, flagName)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-		line := func(ls []string, i int) string {
-			if i < len(ls) {
-				return ls[i]
-			}
-			return ""
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	line := func(ls []string, i int) string {
+		if i < len(ls) {
+			return ls[i]
 		}
-		for i := 0; i < max(len(gl), len(wl)); i++ {
-			if g, w := line(gl, i), line(wl, i); g != w {
-				t.Errorf("MILP model changed (run with -update-milp-golden if intended):\n got %s\nwant %s", g, w)
-			}
+		return ""
+	}
+	for i := 0; i < max(len(gl), len(wl)); i++ {
+		if g, w := line(gl, i), line(wl, i); g != w {
+			t.Errorf("%s changed (run with %s if intended):\n got %s\nwant %s", name, flagName, g, w)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"flag"
 	"math"
 	"math/rand"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 
 	"flexsp/internal/cluster"
 	"flexsp/internal/costmodel"
+	"flexsp/internal/milp"
 	"flexsp/internal/workload"
 )
 
@@ -368,35 +370,116 @@ func TestAssignmentTimeMatchesCostModel(t *testing.T) {
 	}
 }
 
-// On tiny instances, the enumerative plan must match the brute-force optimum
-// over all configurations × assignments (exhaustive search).
+var oracleInstances = flag.Int("oracle-instances", 6,
+	"tiny instances per communication style in TestEnumOptimalOnTinyInstances")
+
+// gapTally counts the instances on which a planner misses the exhaustive
+// optimum, and by how much at most.
+type gapTally struct {
+	solves, misses, noPlan int
+	maxPct                 float64
+}
+
+func (g *gapTally) add(got, best float64) {
+	g.solves++
+	if got > best*(1+1e-9) {
+		g.misses++
+		g.maxPct = max(g.maxPct, 100*(got/best-1))
+	}
+}
+
+// TestEnumOptimalOnTinyInstances checks the planners against exhaustive
+// search (bruteForcePlan) on tiny instances, under Ulysses and ring CP: 2–6
+// sequences on 8 A100-40G, each uniform up to the fleet's token capacity
+// over the count, with Q = 64 so that bucketing is exact. Problem (17),
+// warm-started like StrategyMILP and solved to Gap 0, must equal the
+// optimum on every instance; enum must come within 2% of it under Ulysses.
+// Enum's ring gaps and greedy's gaps are logged, not gated.
+//
+// A few 6-sequence instances exhaust the branch and bound's node limit
+// before it proves optimality, and which incumbent it holds then depends
+// on the worker pool. On those the test checks the formulation instead:
+// the optimal plan must encode to a feasible point whose makespan
+// variable is the optimum, and the search's plan must not beat it.
+// -oracle-instances sets the instance count per style.
 func TestEnumOptimalOnTinyInstances(t *testing.T) {
-	c := coeffs(8)
-	pl := New(c)
-	pl.Q = 64 // no bucketing coarsening at this size
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 8; trial++ {
-		n := 2 + rng.Intn(3)
-		lens := make([]int, n)
-		for i := range lens {
-			lens[i] = 512 + rng.Intn(3<<10)
-		}
-		got, err := pl.Plan(lens)
-		if err != nil {
-			t.Fatal(err)
-		}
-		best := bruteForcePlan(c, lens, 8)
-		if got.Time > best*1.02+1e-9 {
-			t.Fatalf("trial %d: enum %.4f vs brute force %.4f (lens %v)",
-				trial, got.Time, best, lens)
-		}
+	for _, style := range []costmodel.CommStyle{costmodel.StyleUlysses, costmodel.StyleRingCP} {
+		t.Run(style.String(), func(t *testing.T) {
+			t.Parallel()
+			c := coeffs(8).WithStyle(style)
+			pl := New(c)
+			pl.Q = 64 // no bucketing coarsening at this size
+			greedy := *pl
+			greedy.Strategy = StrategyGreedy
+			capacity := c.ClusterTokenCapacity()
+			rng := rand.New(rand.NewSource(77))
+			var milpGaps, nodeLimited, enumGaps, greedyGaps gapTally
+			for trial := 0; trial < *oracleInstances; trial++ {
+				lens := make([]int, 2+rng.Intn(5))
+				for i := range lens {
+					lens[i] = 1 + rng.Intn(capacity/len(lens))
+				}
+				best, bestPlan := bruteForcePlan(c, lens, 8)
+
+				f, err := pl.buildMILP(lens)
+				if err != nil {
+					t.Fatalf("trial %d: %v (lens %v)", trial, err, lens)
+				}
+				enum, err := pl.Plan(lens)
+				if err != nil {
+					t.Fatalf("trial %d: enum: %v (lens %v)", trial, err, lens)
+				}
+				sol := milp.Solve(f.m, milp.Options{Incumbent: f.encode(enum), Gap: 0})
+				exact := f.extract(sol.X)
+				switch sol.Status {
+				case milp.StatusOptimal:
+					milpGaps.add(exact.Time, best)
+					if math.Abs(exact.Time-best) > 1e-9*best {
+						t.Errorf("trial %d: MILP at Gap 0 %.9f, brute force %.9f (lens %v, plan %v)",
+							trial, exact.Time, best, lens, exact.Groups)
+					}
+				case milp.StatusFeasible:
+					nodeLimited.add(exact.Time, best)
+					x := f.encode(bestPlan)
+					if x == nil || math.Abs(x[f.cVar]-1e-9-best) > 1e-9*best {
+						t.Errorf("trial %d: the optimal plan %v does not encode at its time %.9f (lens %v)",
+							trial, bestPlan.Groups, best, lens)
+					}
+					if exact.Time < best*(1-1e-9) {
+						t.Errorf("trial %d: node-limited MILP %.9f beats brute force %.9f (lens %v)",
+							trial, exact.Time, best, lens)
+					}
+				default:
+					t.Fatalf("trial %d: MILP status %v (lens %v)", trial, sol.Status, lens)
+				}
+
+				enumGaps.add(enum.Time, best)
+				if style == costmodel.StyleUlysses && enum.Time > best*1.02+1e-9 {
+					t.Errorf("trial %d: enum %.4f vs brute force %.4f (lens %v)",
+						trial, enum.Time, best, lens)
+				}
+				if gp, err := greedy.Plan(lens); err != nil {
+					greedyGaps.noPlan++
+				} else {
+					greedyGaps.add(gp.Time, best)
+				}
+			}
+			n := *oracleInstances
+			t.Logf("MILP at Gap 0: %d/%d miss the optimum, by ≤ %.2f%%; %d more stopped at the node limit, %d of them short of it by ≤ %.2f%%",
+				milpGaps.misses, n-nodeLimited.solves, milpGaps.maxPct, nodeLimited.solves, nodeLimited.misses, nodeLimited.maxPct)
+			t.Logf("enum: %d/%d miss the optimum, by ≤ %.2f%%", enumGaps.misses, n, enumGaps.maxPct)
+			t.Logf("greedy: %d/%d miss the optimum, by ≤ %.2f%%; %d without a plan",
+				greedyGaps.misses, n, greedyGaps.maxPct, greedyGaps.noPlan)
+		})
 	}
 }
 
 // bruteForcePlan exhaustively tries every degree multiset and every
-// assignment of sequences to groups, returning the optimal makespan.
-func bruteForcePlan(c costmodel.Coeffs, lens []int, devices int) float64 {
+// assignment of sequences to groups, returning the optimal makespan and a
+// plan that attains it.
+func bruteForcePlan(c costmodel.Coeffs, lens []int, devices int) (float64, MicroPlan) {
 	best := math.Inf(1)
+	var bestPlan MicroPlan
 	var configs [][]int
 	var rec func(remaining, maxP int, cur []int)
 	rec = func(remaining, maxP int, cur []int) {
@@ -433,6 +516,12 @@ func bruteForcePlan(c costmodel.Coeffs, lens []int, devices int) float64 {
 				}
 				if ok && span < best {
 					best = span
+					bestPlan = MicroPlan{Time: span}
+					for g, gl := range assignLens {
+						if len(gl) > 0 {
+							bestPlan.Groups = append(bestPlan.Groups, Group{Degree: cfg[g], Lens: append([]int(nil), gl...)})
+						}
+					}
 				}
 				return
 			}
@@ -444,5 +533,5 @@ func bruteForcePlan(c costmodel.Coeffs, lens []int, devices int) float64 {
 		}
 		tryAssign(0)
 	}
-	return best
+	return best, bestPlan
 }

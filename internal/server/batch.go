@@ -2,8 +2,6 @@ package server
 
 import (
 	"context"
-	"hash/fnv"
-	"strconv"
 	"sync"
 	"time"
 
@@ -22,25 +20,32 @@ type planJob struct {
 	explain bool
 }
 
-// key returns the pass key and the canonical sorted length signature: the
-// solver's multiset FNV-1a key folded with the strategy name, maxCtx and the
-// explain flag, so two jobs share a pass only when every coordinate matches
-// (the signature and the job fields are re-compared on join — hash
-// collisions fall back to independent passes, never shared plans).
+// key returns the canonical sorted length signature and the job's pass key,
+// which addresses both its batcher pass and its envelope-cache entry. Two
+// jobs share a pass only when every coordinate matches: the signature and
+// the job fields are re-compared on join, so hash collisions fall back to
+// independent passes, never shared plans.
 func (j planJob) key() ([]int32, uint64) {
-	sig, key := solver.Signature(j.lens)
-	h := fnv.New64a()
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(key >> (8 * i))
+	sig, sigKey := solver.Signature(j.lens)
+	return sig, passKey(sigKey, j.strategy, j.maxCtx, j.explain)
+}
+
+// passKey folds the pass coordinates (strategy, maxCtx, explain) into the
+// exact signature hash with the FNV-1a construction the plan cache uses, so
+// one 64-bit key addresses one (batch, strategy, maxCtx, explain) pass.
+func passKey(sigKey uint64, strategy string, maxCtx int, explain bool) uint64 {
+	h := sigKey
+	for _, b := range []byte(strategy) {
+		h ^= uint64(b)
+		h *= 1099511628211
 	}
-	h.Write(buf[:])
-	h.Write([]byte(j.strategy))
-	h.Write([]byte(strconv.Itoa(j.maxCtx)))
-	if j.explain {
-		h.Write([]byte("+explain"))
+	h ^= uint64(uint32(maxCtx))
+	h *= 1099511628211
+	if explain {
+		h ^= 1
+		h *= 1099511628211
 	}
-	return sig, h.Sum64()
+	return h
 }
 
 // batcher groups compatible requests into one solver pass. Two requests are

@@ -7,8 +7,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-
-	"flexsp/internal/solver"
 )
 
 // envelopeCache keeps the pre-encoded bytes of recently served /v2/plan
@@ -39,24 +37,6 @@ type envelopeEntry struct {
 	sig  []int32 // exact canonical signature, for collision detection
 	ver  int64   // topology version the envelope's plan state was built for
 	body []byte  // the encoded PlanEnvelope, trailing newline included
-}
-
-// envelopeKey folds the pass coordinates into the exact signature hash with
-// the same FNV-1a construction the plan cache uses, so one 64-bit key
-// addresses one (batch, strategy, maxCtx, explain) envelope.
-func envelopeKey(sigKey uint64, strategy string, maxCtx int, explain bool) uint64 {
-	h := sigKey
-	for _, b := range []byte(strategy) {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	h ^= uint64(uint32(maxCtx))
-	h *= 1099511628211
-	if explain {
-		h ^= 1
-		h *= 1099511628211
-	}
-	return h
 }
 
 func newEnvelopeCache(limit int) *envelopeCache {
@@ -147,8 +127,8 @@ func (s *Server) storeEnvelope(job planJob, st *planState, body []byte) {
 	if n := len(body); n > 0 && body[n-1] == '\n' {
 		body = body[:n-1]
 	}
-	sig, sigKey := solver.Signature(job.lens)
-	s.envelopes.put(envelopeKey(sigKey, job.strategy, job.maxCtx, job.explain), sig, st.snap.Version, body)
+	sig, key := job.key()
+	s.envelopes.put(key, sig, st.snap.Version, body)
 }
 
 // handleCacheFetch serves GET /v2/cache/{sig}: the peer-fetch tier of the
@@ -186,7 +166,7 @@ func (s *Server) handleCacheFetch(w http.ResponseWriter, r *http.Request) {
 	}
 	explain := q.Get("explain") == "true"
 	ver := s.topologyVersion()
-	sig, body, ok := s.envelopes.get(envelopeKey(sigKey, strategy, maxCtx, explain), ver)
+	sig, body, ok := s.envelopes.get(passKey(sigKey, strategy, maxCtx, explain), ver)
 	if !ok {
 		s.met.cacheFetchMisses.Inc()
 		writeError(w, http.StatusNotFound, "envelope not cached")

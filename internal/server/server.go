@@ -130,11 +130,6 @@ type Config struct {
 	// for this long. Zero takes the 60s default; negative disables the
 	// idle timeout.
 	StreamTimeout time.Duration
-	// StreamWatermarks are the default batch-fill fractions at which
-	// sessions opened with an expect hint launch speculative solves; empty
-	// takes solver.DefaultWatermarks. Per-session watermarks in the open
-	// request override them.
-	StreamWatermarks []float64
 	// Logger receives structured request and lifecycle logs (requests at
 	// Debug, drain at Info). Nil discards.
 	Logger *slog.Logger

@@ -29,7 +29,7 @@ type StreamOpenRequest struct {
 	// batch crosses the watermark fractions of it. Zero leaves speculation
 	// growth-triggered.
 	Expect int `json:"expect,omitempty"`
-	// Watermarks override the daemon's watermark policy for this session
+	// Watermarks override solver.DefaultWatermarks for this session
 	// (fractions in (0, 1]).
 	Watermarks []float64 `json:"watermarks,omitempty"`
 	// Speculate turns background speculation off when explicitly false;
@@ -68,23 +68,6 @@ type StreamCloseRequest struct {
 	// Explain asks for the envelope's provenance attachment, like
 	// POST /v2/plan.
 	Explain bool `json:"explain,omitempty"`
-}
-
-// StreamStatsJSON is the close envelope's speculation summary.
-type StreamStatsJSON struct {
-	// Appended is the session's total sequence count.
-	Appended int `json:"appended"`
-	// Speculations counts speculative solves launched, Skipped those
-	// avoided by the cache probe, and Superseded those canceled by newer
-	// arrivals.
-	Speculations int64 `json:"speculations"`
-	Skipped      int64 `json:"skipped"`
-	Superseded   int64 `json:"superseded"`
-	// Reused reports that the close was served from a speculative result
-	// without a fresh solve; WarmHits counts micro-batches the session's
-	// warm store satisfied.
-	Reused   bool  `json:"reused"`
-	WarmHits int64 `json:"warmHits"`
 }
 
 // streamSession is one registered streaming session: the solver-level
@@ -146,9 +129,6 @@ func (s *Server) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 		Watermarks: req.Watermarks,
 		Disabled:   req.Speculate != nil && !*req.Speculate,
 		Observe:    s.observeStream,
-	}
-	if len(cfg.Watermarks) == 0 {
-		cfg.Watermarks = s.cfg.StreamWatermarks
 	}
 	id := obs.NewRequestID()
 	state := s.planState()
@@ -360,14 +340,7 @@ func (s *Server) handleStreamClose(w http.ResponseWriter, r *http.Request) {
 	// solve's own wall.
 	env.SolveWallSeconds = wall.Seconds()
 	env.Degraded = s.degradedPlan(state)
-	env.Stream = &StreamStatsJSON{
-		Appended:     stats.Appended,
-		Speculations: stats.Speculations,
-		Skipped:      stats.Skipped,
-		Superseded:   stats.Superseded,
-		Reused:       stats.Reused,
-		WarmHits:     stats.WarmHits,
-	}
+	env.Stream = &stats
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(encodeJSON(env))
 }

@@ -383,8 +383,8 @@ func TestStreamCloseExplain(t *testing.T) {
 }
 
 func TestStreamOpenEchoesPolicy(t *testing.T) {
-	_, ts := newTestServer(t, Config{StreamWatermarks: []float64{0.5, 0.9}})
-	resp, body := postStream(t, ts.URL, "/v2/stream/open", StreamOpenRequest{Expect: 32})
+	_, ts := newTestServer(t, Config{})
+	resp, body := postStream(t, ts.URL, "/v2/stream/open", StreamOpenRequest{Expect: 32, Watermarks: []float64{0.5, 0.9}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("open: status %d body %s", resp.StatusCode, body)
 	}

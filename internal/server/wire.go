@@ -64,7 +64,7 @@ type PlanEnvelope struct {
 	// Stream is the session's speculation summary, attached only to
 	// envelopes returned by POST /v2/stream/{id}/close (additive: plain
 	// /v2/plan envelopes never carry it).
-	Stream *StreamStatsJSON `json:"stream,omitempty"`
+	Stream *solver.StreamStats `json:"stream,omitempty"`
 	// Explain is the plan's provenance, attached when the request set
 	// "explain": true.
 	Explain *ExplainJSON `json:"explain,omitempty"`
