@@ -244,20 +244,12 @@ func (c *Client) Plan(ctx context.Context, req PlanRequest) (server.PlanEnvelope
 }
 
 // Stream opens a streaming planning session on the daemon (POST
-// /v2/stream/open): sequence lengths are appended as they arrive and the
-// daemon speculatively solves partial batches in the background, so Close
-// returns a plan almost immediately after the last arrival. This is the
-// remote counterpart of System.PlanStream.
+// /v2/stream/open): sequence lengths are appended as they arrive, and with
+// opts.Expect set the daemon solves the batch in the background once it is
+// complete, so Close finds the plan done or under way. This is the remote
+// counterpart of System.PlanStream.
 func (c *Client) Stream(ctx context.Context, opts StreamOptions) (*ClientStream, error) {
-	req := server.StreamOpenRequest{
-		Tenant:     c.Tenant,
-		Expect:     opts.Expect,
-		Watermarks: opts.Watermarks,
-	}
-	if opts.NoSpeculate {
-		speculate := false
-		req.Speculate = &speculate
-	}
+	req := server.StreamOpenRequest{Tenant: c.Tenant, Expect: opts.Expect}
 	var out server.StreamOpenResponse
 	if err := c.post(ctx, "/v2/stream/open", req, &out, true); err != nil {
 		return nil, err
@@ -285,7 +277,7 @@ func (s *ClientStream) Append(ctx context.Context, lengths []int) (int, error) {
 
 // Close seals the session (POST /v2/stream/{id}/close) and returns the plan
 // envelope; env.SolveWallSeconds is the close-to-plan latency and env.Stream
-// the session's speculation stats. The session is gone afterwards — a second
+// the session's stats. The session is gone afterwards — a second
 // Close returns a 404 StatusError.
 func (s *ClientStream) Close(ctx context.Context) (server.PlanEnvelope, error) {
 	var out server.PlanEnvelope

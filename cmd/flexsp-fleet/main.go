@@ -35,7 +35,7 @@
 // -max-attempts bounds how many replicas one request tries before giving up
 // (429 when a reached replica was full, else 502);
 // -max-inflight spills a saturated home replica's keys to their next-ranked
-// replica; -no-peer-cache disables the two-tier cache probe.
+// replica.
 package main
 
 import (
@@ -87,7 +87,6 @@ func run() int {
 	downAfter := flag.Int("down-after", 3, "consecutive probe failures before a suspect replica is down")
 	maxAttempts := flag.Int("max-attempts", 3, "replicas one request tries before giving up (429 if a reached replica was full, else 502)")
 	maxInflight := flag.Int("max-inflight", 0, "bounded-load threshold per replica (0 disables)")
-	noPeerCache := flag.Bool("no-peer-cache", false, "disable the peer envelope-cache probe for rebalanced signatures")
 	logLevel := flag.String("log-level", "info", "structured-log threshold: debug, info, warn, error")
 	flag.Parse()
 
@@ -103,13 +102,12 @@ func run() int {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
 	rt, err := fleet.New(fleet.Config{
-		Replicas:         replicas,
-		ProbeInterval:    *probeInterval,
-		DownAfter:        *downAfter,
-		MaxAttempts:      *maxAttempts,
-		MaxInflight:      *maxInflight,
-		DisablePeerCache: *noPeerCache,
-		Logger:           logger,
+		Replicas:      replicas,
+		ProbeInterval: *probeInterval,
+		DownAfter:     *downAfter,
+		MaxAttempts:   *maxAttempts,
+		MaxInflight:   *maxInflight,
+		Logger:        logger,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "flexsp-fleet:", err)

@@ -12,8 +12,9 @@
 //	                          tagged plan envelope; strategies: flexsp,
 //	                          pipeline, deepspeed, batchada, megatron
 //	POST /v2/stream/open      open a streaming session: sequences arrive
-//	                          incrementally, speculative solves run behind
-//	                          them (see -stream-limit, -stream-timeout)
+//	                          incrementally, and the batch is solved in the
+//	                          background once "expect" have arrived (see
+//	                          -stream-limit, -stream-timeout)
 //	POST /v2/stream/{id}/append  add lengths to a session
 //	POST /v2/stream/{id}/close   seal the batch → plan envelope + stream stats
 //	POST /v2/topology         apply live-topology events (node loss,

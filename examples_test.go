@@ -84,8 +84,8 @@ func Example_pipelined() {
 }
 
 // Example_streaming is the README streaming quickstart: sequences arrive
-// incrementally, the solver speculates on partial batches in the
-// background, and Close returns a plan byte-identical to the one-shot path.
+// incrementally, the last expected one starts a background solve of the
+// batch, and Close returns a plan byte-identical to the one-shot path.
 func Example_streaming() {
 	sys := flexsp.MustNewSystem(flexsp.Config{Devices: 64, Model: flexsp.GPT7B})
 	ctx := context.Background()
@@ -101,7 +101,7 @@ func Example_streaming() {
 			panic(err)
 		}
 	}
-	plan, err := st.Close(ctx) // warm-started from the speculative incumbent
+	plan, err := st.Close(ctx) // the background solve's plan
 	if err != nil {
 		panic(err)
 	}

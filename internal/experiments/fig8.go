@@ -83,5 +83,3 @@ func (r Fig8Result) Render() string {
 	}
 	return out
 }
-
-var _ = planner.StrategyEnum // keep import stable under refactors

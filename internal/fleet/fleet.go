@@ -131,9 +131,6 @@ type Config struct {
 	// has this many router-proxied requests in flight, the key spills to
 	// its next-ranked replica. Zero disables the bound.
 	MaxInflight int
-	// DisablePeerCache turns off the tier-two peer fetch (GET
-	// /v2/cache/{sig} probes to a rebalanced signature's previous home).
-	DisablePeerCache bool
 	// HTTPClient overrides http.DefaultClient for probes and proxied
 	// requests.
 	HTTPClient *http.Client

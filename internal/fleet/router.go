@@ -116,7 +116,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, body []byte, key
 
 	// Tier two: the key's previous home may still hold the envelope this
 	// request would otherwise cold-solve on its new home.
-	if info.plan != nil && !rt.cfg.DisablePeerCache {
+	if info.plan != nil {
 		if prev := rt.previousHome(key); prev != "" && prev != names[0] {
 			if m := rt.lookup(prev); m != nil && m.state().routable() {
 				_, span := obs.Start(ctx, "fleet.peer_fetch")

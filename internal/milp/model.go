@@ -108,9 +108,6 @@ func (m *Model) AddConstraint(terms []Term, sense Sense, rhs float64, name strin
 	})
 }
 
-// VarName returns the variable's name.
-func (m *Model) VarName(i int) string { return m.names[i] }
-
 // WriteLP writes the model as canonical text: the objective, every
 // constraint in insertion order with its terms in insertion order, and every
 // variable's bounds and integrality. Variables and constraints are named

@@ -93,7 +93,6 @@ func (s *Server) solverMetrics() solver.SolverMetrics {
 	cur.Canceled += r.Canceled
 	cur.Planned += r.Planned
 	cur.Deduped += r.Deduped
-	cur.Skipped += r.Skipped
 	return cur
 }
 
@@ -110,7 +109,6 @@ func (s *Server) retire(old *planState) {
 	s.retiredSolver.Canceled += sm.Canceled
 	s.retiredSolver.Planned += sm.Planned
 	s.retiredSolver.Deduped += sm.Deduped
-	s.retiredSolver.Skipped += sm.Skipped
 	s.retiredMu.Unlock()
 }
 

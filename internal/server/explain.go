@@ -145,17 +145,6 @@ func ExplainFlat(pl *planner.Planner, res solver.Result, strategy string) *Expla
 	}
 }
 
-// ExplainPlans builds provenance for a bare micro-plan sequence (the
-// deepspeed/batchada baselines, which carry no solver trials).
-func ExplainPlans(pl *planner.Planner, plans []planner.MicroPlan, estTime float64, strategy string) *ExplainJSON {
-	return &ExplainJSON{
-		Strategy: strategy,
-		EstTime:  estTime,
-		M:        len(plans),
-		Micro:    explainMicros(pl, plans),
-	}
-}
-
 // ExplainPipelined builds provenance for a joint PP×SP plan: the chosen
 // degree, the swept candidates (the rejected alternatives), and the critical
 // stage's micro-batch breakdown under the planner's cost model.

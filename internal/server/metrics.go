@@ -128,19 +128,18 @@ type TopologyMetrics struct {
 }
 
 // StreamMetrics is the /v1/metrics streaming section: session lifecycle
-// counts plus the speculation counters aggregated across all sessions.
+// counts plus the background-solve counters of every ended session.
 type StreamMetrics struct {
 	// Opened counts sessions ever opened; Open is the number currently
 	// registered; Expired counts sessions reaped by the idle timeout.
 	Opened  int64 `json:"opened"`
 	Open    int   `json:"open"`
 	Expired int64 `json:"expired"`
-	// Speculations counts speculative solves launched, Skipped those
-	// avoided because the plan cache already covered the partial batch,
-	// Superseded those canceled by newer arrivals, and Reused the closes
-	// served from a speculative result instead of a fresh solve.
+	// Speculations counts background solves launched, Superseded those
+	// canceled because their session grew past them, and Reused the closes
+	// served from a background solve's result instead of a fresh solve.
+	// Each session is counted once, when it is closed or expires.
 	Speculations int64 `json:"speculations"`
-	Skipped      int64 `json:"speculations_skipped"`
 	Superseded   int64 `json:"superseded"`
 	Reused       int64 `json:"reused"`
 }
@@ -159,7 +158,6 @@ type metrics struct {
 	streamOpened   *obs.Counter
 	streamExpired  *obs.Counter
 	specSolves     *obs.Counter
-	specSkipped    *obs.Counter
 	specSuperseded *obs.Counter
 	streamReused   *obs.Counter
 
@@ -187,10 +185,9 @@ func newMetrics(reg *obs.Registry) metrics {
 
 		streamOpened:   reg.Counter("flexsp_stream_sessions_total", "Streaming sessions opened."),
 		streamExpired:  reg.Counter("flexsp_stream_expired_total", "Streaming sessions reaped by the idle timeout."),
-		specSolves:     reg.Counter("flexsp_speculative_solves_total", "Speculative solves launched by streaming sessions."),
-		specSkipped:    reg.Counter("flexsp_speculative_skipped_total", "Speculative solves skipped because the plan cache covered the partial batch."),
-		specSuperseded: reg.Counter("flexsp_speculative_superseded_total", "Speculative solves canceled by newer arrivals."),
-		streamReused:   reg.Counter("flexsp_stream_reused_total", "Stream closes served from a speculative result."),
+		specSolves:     reg.Counter("flexsp_speculative_solves_total", "Background solves launched by ended streaming sessions."),
+		specSuperseded: reg.Counter("flexsp_speculative_superseded_total", "Background solves canceled because their session grew past them."),
+		streamReused:   reg.Counter("flexsp_stream_reused_total", "Stream closes served from a background solve's result."),
 
 		topoEvents:    reg.Counter("flexsp_topology_events_total", "Topology events accepted via POST /v2/topology."),
 		replans:       reg.Counter("flexsp_replans_total", "Background replans completed after topology changes."),

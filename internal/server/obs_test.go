@@ -41,9 +41,9 @@ func TestMetricsJSONGolden(t *testing.T) {
 		LatencyP99Millis: 20.25,
 		Cache:            solver.CacheStats{Hits: 30, Misses: 10, Dedups: 4, Evictions: 1, Entries: 9},
 		CacheHitRate:     0.75,
-		Solver:           solver.SolverMetrics{Solves: 40, Canceled: 1, Planned: 80, Deduped: 6, Skipped: 3},
+		Solver:           solver.SolverMetrics{Solves: 40, Canceled: 1, Planned: 80, Deduped: 6},
 		Stream: StreamMetrics{Opened: 7, Open: 2, Expired: 1, Speculations: 12,
-			Skipped: 3, Superseded: 4, Reused: 5},
+			Superseded: 4, Reused: 5},
 		Topology: TopologyMetrics{Elastic: true, Version: 6, PlanVersion: 5,
 			Degraded: true, Nodes: 4, Down: 1, Straggling: 1,
 			Events: 8, Replans: 4, ColdReplans: 1, DegradedPlans: 2},

@@ -12,13 +12,13 @@
 //	                          "explain"} → tagged plan envelope (version,
 //	                          strategy, flat | pipelined | megatron section,
 //	                          optional provenance)
-//	POST /v2/stream/open      open a streaming session → {"session", ...};
-//	                          sequences append incrementally and watermark
-//	                          crossings launch speculative background solves
+//	POST /v2/stream/open      {"tenant","expect"} → {"session","expect"};
+//	                          sequences append incrementally, and the append
+//	                          that reaches "expect" starts a background solve
 //	POST /v2/stream/{id}/append  {"lengths"} → running total
-//	POST /v2/stream/{id}/close   seal the session → plan envelope, the final
-//	                          solve warm-started from (or replaced by) the
-//	                          speculative incumbent
+//	POST /v2/stream/{id}/close   seal the session → plan envelope, from the
+//	                          background solve when it covered exactly the
+//	                          closed batch, else solved at close
 //	POST /v2/topology         {"events":[...]} → apply topology events to the
 //	                          elastic fleet and wake the background replan
 //	                          loop (501 on a static daemon)
@@ -335,8 +335,6 @@ func (s *Server) registerGauges() {
 		func() float64 { return float64(s.solverMetrics().Planned) })
 	s.reg.CounterFunc("flexsp_solver_deduped_total", "Micro-batches answered by a repeat within one solve.",
 		func() float64 { return float64(s.solverMetrics().Deduped) })
-	s.reg.CounterFunc("flexsp_solver_skipped_total", "Speculative solves skipped by the cache probe.",
-		func() float64 { return float64(s.solverMetrics().Skipped) })
 	if s.cfg.Topology != nil {
 		s.reg.GaugeFunc("flexsp_topology_version", "Current topology version of the elastic fleet.",
 			func() float64 { return float64(s.cfg.Topology.Version()) })

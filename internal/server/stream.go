@@ -12,12 +12,13 @@ import (
 )
 
 // This file is the daemon's streaming ingestion surface: sequences arrive
-// incrementally over POST /v2/stream/{open,append,close} and the underlying
-// solver.Stream speculatively solves partial batches in the background, so
-// the close-time solve is warm (or already done). Sessions are admitted at
-// open against the StreamLimit, reaped by an idle timeout, and their final
-// close passes the regular queue/tenant admission — but bypasses the drain
-// refusal, so SIGTERM does not strand a session's last solve.
+// incrementally over POST /v2/stream/{open,append,close}, and the underlying
+// solver.Stream solves the batch in the background once it reaches the
+// session's expected count, so the close often finds its plan already done.
+// Sessions are admitted at open against the StreamLimit, reaped by an idle
+// timeout, and their final close passes the regular queue/tenant admission —
+// but bypasses the drain refusal, so SIGTERM does not strand a session's
+// last solve.
 
 // StreamOpenRequest is the body of POST /v2/stream/open (an empty body is a
 // valid default session).
@@ -25,28 +26,18 @@ type StreamOpenRequest struct {
 	// Tenant labels the session for close-time admission control, like the
 	// plan endpoints.
 	Tenant string `json:"tenant,omitempty"`
-	// Expect is the anticipated sequence count: speculation fires as the
-	// batch crosses the watermark fractions of it. Zero leaves speculation
-	// growth-triggered.
+	// Expect is the anticipated sequence count: the append that reaches it
+	// starts a background solve of the batch. Zero means unknown, and the
+	// close solves, byte-identical to POST /v2/plan on the same lengths.
 	Expect int `json:"expect,omitempty"`
-	// Watermarks override solver.DefaultWatermarks for this session
-	// (fractions in (0, 1]).
-	Watermarks []float64 `json:"watermarks,omitempty"`
-	// Speculate turns background speculation off when explicitly false;
-	// omitted means on. Disabled sessions solve cold at close,
-	// byte-identical to POST /v2/plan on the same lengths.
-	Speculate *bool `json:"speculate,omitempty"`
 }
 
 // StreamOpenResponse is the body of a successful open.
 type StreamOpenResponse struct {
 	// Session is the identifier the append/close routes key on.
 	Session string `json:"session"`
-	// Expect and Watermarks echo the session's effective speculation
-	// policy; Speculation reports whether it is enabled.
-	Expect      int       `json:"expect,omitempty"`
-	Watermarks  []float64 `json:"watermarks,omitempty"`
-	Speculation bool      `json:"speculation"`
+	// Expect echoes the session's expected sequence count.
+	Expect int `json:"expect,omitempty"`
 }
 
 // StreamAppendRequest is the body of POST /v2/stream/{id}/append.
@@ -77,11 +68,11 @@ type streamSession struct {
 	id     string
 	tenant string
 	st     *solver.Stream
-	// state is the plan state the session pinned at open: appends speculate
-	// on its solver. A close after a replan has landed solves the session's
-	// lengths on the live plan state instead; a close inside the debounce
-	// window, before the replan, stays on the pinned state and is flagged
-	// degraded like any plan from a lagging state.
+	// state is the plan state the session pinned at open: its background
+	// solve runs on that state's solver. A close after a replan has landed
+	// solves the session's lengths on the live plan state instead; a close
+	// inside the debounce window, before the replan, stays on the pinned
+	// state and is flagged degraded like any plan from a lagging state.
 	state *planState
 	timer *time.Timer
 }
@@ -117,22 +108,9 @@ func (s *Server) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("negative expect %d", req.Expect))
 		return
 	}
-	for _, wm := range req.Watermarks {
-		if wm <= 0 || wm > 1 {
-			s.met.errors.Add(1)
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("watermark %v outside (0, 1]", wm))
-			return
-		}
-	}
-	cfg := solver.StreamConfig{
-		Expect:     req.Expect,
-		Watermarks: req.Watermarks,
-		Disabled:   req.Speculate != nil && !*req.Speculate,
-		Observe:    s.observeStream,
-	}
 	id := obs.NewRequestID()
 	state := s.planState()
-	sess := &streamSession{id: id, tenant: req.Tenant, st: solver.NewStream(state.solver, cfg), state: state}
+	sess := &streamSession{id: id, tenant: req.Tenant, st: solver.NewStream(state.solver, req.Expect), state: state}
 
 	s.streamMu.Lock()
 	if len(s.streams) >= s.cfg.StreamLimit {
@@ -152,16 +130,7 @@ func (s *Server) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 	s.logger.Debug("stream opened", "session", id, "tenant", req.Tenant, "expect", req.Expect)
 	w.Header().Set("X-Flexsp-Request-Id", id)
 	w.Header().Set("Content-Type", "application/json")
-	wms := cfg.Watermarks
-	if len(wms) == 0 && !cfg.Disabled {
-		wms = solver.DefaultWatermarks
-	}
-	w.Write(encodeJSON(StreamOpenResponse{
-		Session:     id,
-		Expect:      req.Expect,
-		Watermarks:  wms,
-		Speculation: !cfg.Disabled,
-	}))
+	w.Write(encodeJSON(StreamOpenResponse{Session: id, Expect: req.Expect}))
 }
 
 // touchStream looks a session up and resets its idle timer.
@@ -215,6 +184,7 @@ func (s *Server) expireStream(id string, sess *streamSession) {
 	delete(s.streams, id)
 	s.streamMu.Unlock()
 	sess.st.Cancel()
+	s.countStream(sess.st.Stats())
 	s.met.streamExpired.Add(1)
 	s.logger.Info("stream expired", "session", id, "tenant", sess.tenant, "appended", sess.st.Len())
 }
@@ -252,11 +222,11 @@ func (s *Server) handleStreamAppend(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStreamClose serves POST /v2/stream/{id}/close: seal the session and
-// return the final plan envelope, warm-started from (or served by) the
-// speculative incumbent — or, when a replan has landed since the session
-// opened, solved cold on the live plan state. The solve passes normal
-// queue/tenant admission but bypasses the drain refusal — the session was
-// admitted at open, and drain must let it finish.
+// return the final plan envelope, served by the session's background solve
+// when it covered exactly the closed batch, else solved at close — on the
+// live plan state when a replan has landed since the session opened. The
+// solve passes normal queue/tenant admission but bypasses the drain refusal
+// — the session was admitted at open, and drain must let it finish.
 func (s *Server) handleStreamClose(w http.ResponseWriter, r *http.Request) {
 	var req StreamCloseRequest
 	if !decodeOptional(w, r, &req, &s.met) {
@@ -300,8 +270,9 @@ func (s *Server) handleStreamClose(w http.ResponseWriter, r *http.Request) {
 	var err error
 	if state.solver != sess.state.solver {
 		// A replan rebuilt the solver since the session opened, and the
-		// session's speculation planned for the retired fleet view: give it
-		// up and solve the batch on the live plan state, as /v2/plan would.
+		// session's background solve planned for the retired fleet view:
+		// give it up and solve the batch on the live plan state, as
+		// /v2/plan would.
 		sess.st.Cancel()
 		span.SetAttr("replanned", true)
 		res, err = state.solver.SolveContext(ctx, sess.st.Lengths())
@@ -310,6 +281,7 @@ func (s *Server) handleStreamClose(w http.ResponseWriter, r *http.Request) {
 	}
 	wall := time.Since(closeStart)
 	stats := sess.st.Stats()
+	s.countStream(stats)
 	span.SetAttr("reused", stats.Reused)
 	if err != nil {
 		span.SetError(err)
@@ -345,16 +317,11 @@ func (s *Server) handleStreamClose(w http.ResponseWriter, r *http.Request) {
 	w.Write(encodeJSON(env))
 }
 
-// observeStream fans solver stream events into the Prometheus counters.
-func (s *Server) observeStream(ev string) {
-	switch ev {
-	case solver.StreamEventSpeculate:
-		s.met.specSolves.Add(1)
-	case solver.StreamEventSkip:
-		s.met.specSkipped.Add(1)
-	case solver.StreamEventSupersede:
-		s.met.specSuperseded.Add(1)
-	case solver.StreamEventReuse:
+// countStream adds an ended session's stats to the stream counters.
+func (s *Server) countStream(stats solver.StreamStats) {
+	s.met.specSolves.Add(stats.Speculations)
+	s.met.specSuperseded.Add(stats.Superseded)
+	if stats.Reused {
 		s.met.streamReused.Add(1)
 	}
 }
@@ -369,7 +336,6 @@ func (s *Server) streamMetrics() StreamMetrics {
 		Open:         open,
 		Expired:      s.met.streamExpired.Value(),
 		Speculations: s.met.specSolves.Value(),
-		Skipped:      s.met.specSkipped.Value(),
 		Superseded:   s.met.specSuperseded.Value(),
 		Reused:       s.met.streamReused.Value(),
 	}

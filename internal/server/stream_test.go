@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -107,7 +106,10 @@ func TestStreamLifecycle(t *testing.T) {
 	if env.Strategy != "flexsp" || env.Flat == nil {
 		t.Fatalf("close envelope: %s", body)
 	}
-	if env.Stream == nil || env.Stream.Appended != len(testBatch) {
+	// The final append reached expect and started the background solve,
+	// which the close reused.
+	if env.Stream == nil || env.Stream.Appended != len(testBatch) || !env.Stream.Reused ||
+		env.Stream.Speculations != 1 || env.Stream.Superseded != 0 {
 		t.Fatalf("close stream stats: %+v", env.Stream)
 	}
 
@@ -130,18 +132,16 @@ func TestStreamLifecycle(t *testing.T) {
 	}
 
 	m := srv.Metrics()
-	if m.Stream.Opened != 1 || m.Stream.Open != 0 {
+	if m.Stream.Opened != 1 || m.Stream.Open != 0 || m.Stream.Speculations != 1 ||
+		m.Stream.Superseded != 0 || m.Stream.Reused != 1 {
 		t.Fatalf("stream metrics: %+v", m.Stream)
-	}
-	if m.Stream.Speculations+m.Stream.Skipped == 0 {
-		t.Fatalf("no speculation activity recorded: %+v", m.Stream)
 	}
 }
 
 func TestStreamDisabledByteIdenticalToPlan(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	spec := false
-	id := openStream(t, ts.URL, StreamOpenRequest{Speculate: &spec})
+	// Without expect the session solves at close, like POST /v2/plan.
+	id := openStream(t, ts.URL, StreamOpenRequest{})
 	if _, body := postStream(t, ts.URL, "/v2/stream/"+id+"/append", StreamAppendRequest{Lengths: testBatch}); len(body) == 0 {
 		t.Fatal("append returned no body")
 	}
@@ -154,7 +154,7 @@ func TestStreamDisabledByteIdenticalToPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	if env.Stream == nil || env.Stream.Speculations != 0 || env.Stream.Reused {
-		t.Fatalf("disabled session speculated: %+v", env.Stream)
+		t.Fatalf("session without expect speculated: %+v", env.Stream)
 	}
 
 	_, cold := newTestServer(t, Config{})
@@ -166,7 +166,7 @@ func TestStreamDisabledByteIdenticalToPlan(t *testing.T) {
 	defer cresp.Body.Close()
 	cbody, _ := io.ReadAll(cresp.Body)
 	if g, w := flatJSON(t, body), flatJSON(t, cbody); g != w {
-		t.Fatalf("disabled stream diverges from /v2/plan:\n%s\n%s", g, w)
+		t.Fatalf("stream without expect diverges from /v2/plan:\n%s\n%s", g, w)
 	}
 }
 
@@ -174,9 +174,6 @@ func TestStreamValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	if resp, _ := postStream(t, ts.URL, "/v2/stream/open", StreamOpenRequest{Expect: -1}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("negative expect: status %d", resp.StatusCode)
-	}
-	if resp, _ := postStream(t, ts.URL, "/v2/stream/open", StreamOpenRequest{Watermarks: []float64{1.5}}); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad watermark: status %d", resp.StatusCode)
 	}
 	id := openStream(t, ts.URL, StreamOpenRequest{})
 	if resp, _ := postStream(t, ts.URL, "/v2/stream/"+id+"/append", StreamAppendRequest{Lengths: []int{0}}); resp.StatusCode != http.StatusBadRequest {
@@ -295,7 +292,7 @@ func TestStreamTimeoutRacesDrain(t *testing.T) {
 
 func TestStreamPrometheusSeries(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	// The speculative series must be present (at zero) before any stream
+	// The stream series must be present (at zero) before any stream
 	// traffic — CI smoke-scrapes a fresh daemon.
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -305,13 +302,11 @@ func TestStreamPrometheusSeries(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	for _, series := range []string{
 		"flexsp_speculative_solves_total",
-		"flexsp_speculative_skipped_total",
 		"flexsp_speculative_superseded_total",
 		"flexsp_stream_reused_total",
 		"flexsp_stream_sessions_total",
 		"flexsp_stream_expired_total",
 		"flexsp_stream_sessions",
-		"flexsp_solver_skipped_total",
 		"flexsp_plan_after_close_seconds",
 	} {
 		if !strings.Contains(string(body), series) {
@@ -324,8 +319,8 @@ func TestStreamPrometheusSeries(t *testing.T) {
 }
 
 // TestStreamConcurrentAppendHTTP drives one session from many clients at
-// once (run with -race): appends interleave with watermark speculation and a
-// final close.
+// once (run with -race): the last append starts the background solve, and a
+// final close follows.
 func TestStreamConcurrentAppendHTTP(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	lens := make([]int, 0, 4*len(testBatch))
@@ -384,7 +379,7 @@ func TestStreamCloseExplain(t *testing.T) {
 
 func TestStreamOpenEchoesPolicy(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, body := postStream(t, ts.URL, "/v2/stream/open", StreamOpenRequest{Expect: 32, Watermarks: []float64{0.5, 0.9}})
+	resp, body := postStream(t, ts.URL, "/v2/stream/open", StreamOpenRequest{Expect: 32})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("open: status %d body %s", resp.StatusCode, body)
 	}
@@ -392,10 +387,7 @@ func TestStreamOpenEchoesPolicy(t *testing.T) {
 	if err := json.Unmarshal(body, &open); err != nil {
 		t.Fatal(err)
 	}
-	if !open.Speculation || open.Expect != 32 {
+	if open.Session == "" || open.Expect != 32 {
 		t.Fatalf("open response: %+v", open)
-	}
-	if fmt.Sprint(open.Watermarks) != fmt.Sprint([]float64{0.5, 0.9}) {
-		t.Fatalf("watermarks not echoed: %+v", open)
 	}
 }

@@ -61,9 +61,9 @@ type PlanEnvelope struct {
 	Flat        *SolveResponse     `json:"flat,omitempty"`
 	Pipelined   *PipelinedResponse `json:"pipelined,omitempty"`
 	Megatron    *MegatronJSON      `json:"megatron,omitempty"`
-	// Stream is the session's speculation summary, attached only to
-	// envelopes returned by POST /v2/stream/{id}/close (additive: plain
-	// /v2/plan envelopes never carry it).
+	// Stream is the session's stats, attached only to envelopes returned by
+	// POST /v2/stream/{id}/close (additive: plain /v2/plan envelopes never
+	// carry it).
 	Stream *solver.StreamStats `json:"stream,omitempty"`
 	// Explain is the plan's provenance, attached when the request set
 	// "explain": true.

@@ -92,8 +92,8 @@ func (pc *PlanCache) signature(lens []int) ([]int32, uint64) {
 // Signature returns the canonical exact-length signature of a batch — the
 // sorted length multiset and its FNV-1a hash. It is the one construction
 // shared by the plan cache (at its rounding granularity), a solve's repeat
-// memo and warm store, and the serving layer's request-batching pass keys, so
-// "the same batch" means the same thing at every reuse point. Compare the
+// memo, and the serving layer's request-batching pass keys, so "the same
+// batch" means the same thing at every reuse point. Compare the
 // returned signatures on hash equality to rule out collisions.
 func Signature(lens []int) ([]int32, uint64) {
 	return roundedSig(lens, 1)
@@ -143,25 +143,6 @@ func SigsEqual(a, b []int32) bool {
 // retargeted plan is accepted: a lookup whose entry fails re-validation
 // behaves as a miss (the caller plans from scratch), so it counts as one.
 func (pc *PlanCache) Get(pr costmodel.Pricing, lens []int) (planner.MicroPlan, bool) {
-	p, ok := pc.lookup(pr, lens, true)
-	if ok {
-		pc.hits.Add(1)
-	} else {
-		pc.misses.Add(1)
-	}
-	return p, ok
-}
-
-// peek is Get without side effects: no LRU move and no hit or miss counted
-// (Solver.CacheCovers probes the cache with it).
-func (pc *PlanCache) peek(pr costmodel.Pricing, lens []int) (planner.MicroPlan, bool) {
-	return pc.lookup(pr, lens, false)
-}
-
-// lookup returns the plan cached under the micro-batch's rounded signature,
-// retargeted onto its exact lengths, and moves the entry to the front of its
-// shard's LRU when touch is set.
-func (pc *PlanCache) lookup(pr costmodel.Pricing, lens []int, touch bool) (planner.MicroPlan, bool) {
 	sig, key := pc.signature(lens)
 	sh := pc.shard(key)
 	sh.mu.Lock()
@@ -170,15 +151,17 @@ func (pc *PlanCache) lookup(pr costmodel.Pricing, lens []int, touch bool) (plann
 	var cached planner.MicroPlan
 	if ok {
 		cached = el.Value.(*cacheEntry).plan
-		if touch {
-			sh.lru.MoveToFront(el)
-		}
+		sh.lru.MoveToFront(el)
 	}
 	sh.mu.Unlock()
-	if !ok {
-		return planner.MicroPlan{}, false
+	if ok {
+		if p, ok := retarget(pr, lens, cached); ok {
+			pc.hits.Add(1)
+			return p, true
+		}
 	}
-	return retarget(pr, lens, cached)
+	pc.misses.Add(1)
+	return planner.MicroPlan{}, false
 }
 
 // retarget re-creates the cached plan's shape on the exact lengths: both

@@ -12,8 +12,8 @@
 // the bounds of its unplanned micro-batches exceeds the best complete trial.
 // The walk picks the same M and plans as planning the whole window would,
 // without planning most of a losing trial. Micro-batches that the plan
-// cache, a streaming session's warm store or an earlier trial of the same
-// solve already answer skip the planner.
+// cache or an earlier trial of the same solve already answer skip the
+// planner.
 //
 // One solve runs on its caller's goroutine. Parallelism lives a level up:
 // callers that disaggregate solving from execution (§5) prefetch future
@@ -23,7 +23,6 @@ package solver
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -62,7 +61,6 @@ type solverStats struct {
 	canceled atomic.Int64
 	planned  atomic.Int64
 	deduped  atomic.Int64
-	skipped  atomic.Int64
 }
 
 // SolverMetrics is a point-in-time snapshot of a Solver's counters. Unlike
@@ -76,17 +74,12 @@ type SolverMetrics struct {
 	// context was canceled.
 	Canceled int64 `json:"canceled"`
 	// Planned is the number of micro-batches that reached the planner. A
-	// cache hit, a warm-store hit or a repeat within the solve avoids one
-	// planner invocation, and a micro-batch of an abandoned trial is never
-	// planned.
+	// cache hit or a repeat within the solve avoids one planner invocation,
+	// and a micro-batch of an abandoned trial is never planned.
 	Planned int64 `json:"planned"`
 	// Deduped is the number of micro-batches answered by an exact repeat
 	// planned earlier in the same solve instead of planning.
 	Deduped int64 `json:"deduped"`
-	// Skipped is the number of speculative solves a streaming session
-	// avoided because the plan cache already covered the partial batch
-	// (see Solver.CacheCovers).
-	Skipped int64 `json:"skipped"`
 }
 
 // Metrics returns the solver's counter snapshot. The fields are individually
@@ -100,7 +93,6 @@ func (s *Solver) Metrics() SolverMetrics {
 			Canceled: s.stats.canceled.Load(),
 			Planned:  s.stats.planned.Load(),
 			Deduped:  s.stats.deduped.Load(),
-			Skipped:  s.stats.skipped.Load(),
 		}
 	}
 	prev := read()
@@ -179,10 +171,10 @@ func (s *Solver) SolveContext(ctx context.Context, batch []int) (Result, error) 
 	return s.solve(ctx, batch, nil)
 }
 
-// solve is the Alg. 1 body behind SolveContext and solveWarm. A non-nil warm
-// state threads a streaming session's exact-signature micro-plan memo
-// through the walk (see stream.go); nil is the plain cold path.
-func (s *Solver) solve(ctx context.Context, batch []int, warm *warmState) (Result, error) {
+// solve is the Alg. 1 body behind SolveContext. A non-nil held takes the
+// solve's plan-cache writes instead of the shared cache: a streaming
+// session's background solve holds them until Close (see stream.go).
+func (s *Solver) solve(ctx context.Context, batch []int, held *heldWrites) (Result, error) {
 	start := time.Now()
 	ctx, span := obs.Start(ctx, "solver.solve")
 	defer span.End()
@@ -201,8 +193,8 @@ func (s *Solver) solve(ctx context.Context, batch []int, warm *warmState) (Resul
 	best, err := s.walk(ctx, batch, mmin, &solveSource{
 		s:    s,
 		pr:   s.Planner.Pricing(),
-		warm: warm,
-		memo: make(map[uint64]storeEntry),
+		held: held,
+		memo: make(map[uint64]repeatEntry),
 	})
 	if err == nil {
 		err = ctx.Err() // canceled after the last trial
@@ -223,22 +215,13 @@ func (s *Solver) solve(ctx context.Context, batch []int, warm *warmState) (Resul
 	return best, nil
 }
 
-// microSource answers the micro-batches of one walk. repeat returns the
-// plan of an exact repeat the source already holds, at no cost; answer
-// produces the rest, from the plan cache or the planner. Solve and
-// CacheCovers walk the window with different sources.
-type microSource interface {
-	repeat(ctx context.Context, lens []int) (planner.MicroPlan, bool)
-	answer(ctx context.Context, lens []int) (planner.MicroPlan, error)
-}
-
 // walk runs Alg. 1's trial window from mmin as a branch and bound over src:
 // the trials in M order, each abandoned once it provably cannot beat the
 // best complete trial so far (the incumbent; ties keep the smaller M), and,
 // when no trial of the window completes, the widening fallback. best.Time is
-// +Inf when no trial completed. The walk stops early, returning the cause,
-// when ctx is canceled or src reports errUncovered.
-func (s *Solver) walk(ctx context.Context, batch []int, mmin int, src microSource) (Result, error) {
+// +Inf when no trial completed. The walk stops early, returning ctx's error,
+// when ctx is canceled.
+func (s *Solver) walk(ctx context.Context, batch []int, mmin int, src *solveSource) (Result, error) {
 	trials := s.Trials
 	if trials <= 0 {
 		trials = blaster.DefaultTrials
@@ -247,7 +230,7 @@ func (s *Solver) walk(ctx context.Context, batch []int, mmin int, src microSourc
 	best := Result{Time: math.Inf(1), MMin: mmin}
 	try := func(m int) error {
 		tr := s.runTrial(ctx, batch, m, best.Time, lb, src)
-		if tr.err != nil && (errors.Is(tr.err, errUncovered) || ctx.Err() != nil) {
+		if tr.err != nil && ctx.Err() != nil {
 			return tr.err
 		}
 		best.Trials = append(best.Trials, tr.summary())
@@ -302,7 +285,7 @@ func (tr trial) summary() TrialSummary {
 // ones exceed the incumbent, so an abandoned trial's remaining micro-batches
 // are neither looked up nor planned. A complete trial's time is summed in
 // micro-batch order.
-func (s *Solver) runTrial(ctx context.Context, batch []int, m int, incumbent float64, lb *planner.LowerBound, src microSource) trial {
+func (s *Solver) runTrial(ctx context.Context, batch []int, m int, incumbent float64, lb *planner.LowerBound, src *solveSource) trial {
 	tr := trial{m: m}
 	if tr.err = ctx.Err(); tr.err != nil {
 		return tr
@@ -375,53 +358,45 @@ func (s *Solver) runTrial(ctx context.Context, batch []int, m int, incumbent flo
 	return tr
 }
 
-// solveSource answers a solve's micro-batches: a streaming session's warm
-// store and exact repeats of micro-batches planned earlier in this solve
-// first, then the plan cache, and the planner for the rest. Every outcome
-// is recorded into a non-nil warm state, and speculative solves withhold
-// their plans from the shared cache (see stream.go for why both matter for
-// byte-identity).
+// solveSource answers a solve's micro-batches: exact repeats of
+// micro-batches planned earlier in this solve first, then the plan cache
+// (the held writes, when the solve holds them, before the shared cache),
+// and the planner for the rest.
 type solveSource struct {
 	s    *Solver
 	pr   costmodel.Pricing
-	warm *warmState
-	memo map[uint64]storeEntry // planned this solve, by exact signature
+	held *heldWrites
+	memo map[uint64]repeatEntry // planned this solve, by exact signature
+}
+
+// repeatEntry is one micro-batch planned earlier in a solve.
+type repeatEntry struct {
+	sig  []int32
+	plan planner.MicroPlan
 }
 
 func (src *solveSource) repeat(ctx context.Context, lens []int) (planner.MicroPlan, bool) {
-	if src.warm == nil && len(src.memo) == 0 {
+	if len(src.memo) == 0 {
 		return planner.MicroPlan{}, false
 	}
 	s := src.s
 	sig, key := Signature(lens)
-	tier := "warm"
-	p, ok := planner.MicroPlan{}, false
-	if src.warm != nil {
-		if p, ok = src.warm.hit(sig, key); ok && s.Cache != nil && !src.warm.speculative {
-			// The memoized plan is exactly what this solve's cold path
-			// produced for this signature; a final (non-speculative) solve
-			// also publishes it, so the cache ends up in the cold state.
-			s.Cache.Put(lens, p)
-		}
+	e, ok := src.memo[key]
+	if !ok || !SigsEqual(e.sig, sig) {
+		return planner.MicroPlan{}, false
 	}
-	if e, hit := src.memo[key]; !ok && hit && SigsEqual(e.sig, sig) {
-		p, ok, tier = e.plan, true, "dedup"
-		s.stats.deduped.Add(1)
-		if s.Cache != nil {
-			s.Cache.noteDedup()
-		}
+	s.stats.deduped.Add(1)
+	if s.Cache != nil {
+		s.Cache.noteDedup()
 	}
-	if ok {
-		src.span(ctx, lens, tier)
-	}
-	return p, ok
+	src.span(ctx, lens, "dedup")
+	return e.plan, true
 }
 
 func (src *solveSource) answer(ctx context.Context, lens []int) (planner.MicroPlan, error) {
 	s := src.s
 	if s.Cache != nil {
-		if p, ok := s.Cache.Get(src.pr, lens); ok {
-			src.record(lens, p, false)
+		if p, ok := src.cached(lens); ok {
 			src.span(ctx, lens, "cache-hit")
 			return p, nil
 		}
@@ -435,26 +410,27 @@ func (src *solveSource) answer(ctx context.Context, lens []int) (planner.MicroPl
 	if err != nil {
 		return p, err
 	}
-	if s.Cache != nil && (src.warm == nil || !src.warm.speculative) {
-		s.Cache.Put(lens, p)
+	if s.Cache != nil {
+		if src.held != nil {
+			src.held.put(lens, p)
+		} else {
+			s.Cache.Put(lens, p)
+		}
 	}
-	src.record(lens, p, true)
+	sig, key := Signature(lens)
+	src.memo[key] = repeatEntry{sig: sig, plan: p}
 	return p, nil
 }
 
-// record keeps an answered micro-batch for the incumbent a warm solve
-// produces and, when it was planned, for repeats later in this solve.
-func (src *solveSource) record(lens []int, p planner.MicroPlan, planned bool) {
-	if !planned && src.warm == nil {
-		return
+// cached looks the micro-batch up in the held writes, then in the shared
+// plan cache.
+func (src *solveSource) cached(lens []int) (planner.MicroPlan, bool) {
+	if src.held != nil {
+		if p, ok := src.held.cache.Get(src.pr, lens); ok {
+			return p, true
+		}
 	}
-	sig, key := Signature(lens)
-	if planned {
-		src.memo[key] = storeEntry{sig: sig, plan: p}
-	}
-	if src.warm != nil {
-		src.warm.record(sig, key, p)
-	}
+	return src.s.Cache.Get(src.pr, lens)
 }
 
 // span records a micro-batch answered without planning.
@@ -463,44 +439,4 @@ func (src *solveSource) span(ctx context.Context, lens []int, tier string) {
 	span.SetAttr("seqs", len(lens))
 	span.SetAttr("tier", tier)
 	span.End()
-}
-
-// errUncovered stops CacheCovers' walk at the first micro-batch a solve
-// would have to plan.
-var errUncovered = fmt.Errorf("solver: micro-batch not covered by the plan cache")
-
-// cacheProbe is CacheCovers' source: read-only cache lookups, and every
-// micro-batch they miss is one the solve would plan.
-type cacheProbe struct {
-	cache *PlanCache
-	pr    costmodel.Pricing
-}
-
-func (cacheProbe) repeat(context.Context, []int) (planner.MicroPlan, bool) {
-	return planner.MicroPlan{}, false
-}
-
-func (cp cacheProbe) answer(_ context.Context, lens []int) (planner.MicroPlan, error) {
-	if p, ok := cp.cache.peek(cp.pr, lens); ok {
-		return p, nil
-	}
-	return planner.MicroPlan{}, errUncovered
-}
-
-// CacheCovers reports whether a solve of the batch would plan nothing: it
-// walks the trial window exactly as Solve does, and every micro-batch the
-// walk reaches — trials it abandons need no plans — is answered by the
-// shared plan cache. Streaming sessions use it to skip a speculative solve
-// that would only re-derive cached plans. The probe is read-only: it moves
-// no LRU entries and counts no hits or misses.
-func (s *Solver) CacheCovers(batch []int) bool {
-	if s.Cache == nil || len(batch) == 0 {
-		return false
-	}
-	mmin := blaster.MinMicroBatches(batch, s.Planner.TokenCapacity())
-	if mmin == 0 {
-		return false
-	}
-	_, err := s.walk(context.Background(), batch, mmin, cacheProbe{cache: s.Cache, pr: s.Planner.Pricing()})
-	return err == nil
 }

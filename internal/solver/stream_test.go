@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"flexsp/internal/blaster"
 	"flexsp/internal/cluster"
@@ -50,147 +49,98 @@ func plansJSON(t *testing.T, res Result) string {
 	return string(buf)
 }
 
-// waitIncumbent polls until the stream's speculative incumbent lands.
-func waitIncumbent(t *testing.T, st *Stream) *incumbent {
+// cachedPlan reads pc's entry for a micro-batch without moving it in the
+// LRU or counting a hit or miss.
+func cachedPlan(pc *PlanCache, lens []int) (planner.MicroPlan, bool) {
+	sig, key := pc.signature(lens)
+	sh := pc.shard(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	el, ok := sh.entries[key]
+	if !ok || !SigsEqual(el.Value.(*cacheEntry).sig, sig) {
+		return planner.MicroPlan{}, false
+	}
+	return el.Value.(*cacheEntry).plan, true
+}
+
+// requireCacheLikeCold fails unless got's plan cache holds exactly cold's
+// entry (or, like cold, none) for every micro-batch of every trial cold's
+// solve of batch explored, and as many entries in all.
+func requireCacheLikeCold(t *testing.T, got, cold *Solver, batch []int, coldRes Result) {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		st.mu.Lock()
-		inc := st.inc
-		st.mu.Unlock()
-		if inc != nil {
-			return inc
+	for _, tr := range coldRes.Trials {
+		micro, err := blastFor(cold, batch, tr.M)
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("speculative incumbent never completed")
-	return nil
-}
-
-func TestSolveWarmByteIdenticalToCold(t *testing.T) {
-	batch := streamBatch(7, 64)
-
-	cold := newStreamSolver()
-	want, err := cold.SolveContext(context.Background(), batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Speculate on a strict prefix, then warm-solve the full batch: the
-	// warm store memoizes each micro-batch's outcome, so the final plans
-	// must be byte-identical to the cold solve (both start from a fresh
-	// cache).
-	warm := newStreamSolver()
-	_, inc, err := warm.solveWarm(context.Background(), batch[:48], nil, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, inc2, err := warm.solveWarm(context.Background(), batch, inc, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g, w := plansJSON(t, got), plansJSON(t, want); g != w {
-		t.Fatalf("warm-started plans diverge from cold:\nwarm %s\ncold %s", g, w)
-	}
-	if inc2.warmHits == 0 {
-		t.Fatal("full-batch warm solve hit nothing in the prefix incumbent's store")
-	}
-	// Cache parity: the final solve publishes warm hits too, so the warm
-	// solver's cache must cover the batch exactly like the cold solver's.
-	if !warm.CacheCovers(batch) {
-		t.Fatal("warm solver's cache does not cover the batch after the final solve")
-	}
-}
-
-func TestSolveWarmWholeBatchReuse(t *testing.T) {
-	s := newStreamSolver()
-	batch := streamBatch(11, 48)
-	_, inc, err := s.solveWarm(context.Background(), batch, nil, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Speculative solves withhold plans from the shared cache.
-	if s.CacheCovers(batch) {
-		t.Fatal("speculative solve leaked plans into the shared cache")
-	}
-	res, _, err := s.solveWarm(context.Background(), batch, inc, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g, w := plansJSON(t, res), plansJSON(t, inc.res); g != w {
-		t.Fatalf("whole-batch reuse did not return the incumbent result:\n%s\n%s", g, w)
-	}
-	// The reuse path publishes the final plans (publishStore).
-	if _, ok := s.Cache.peek(s.Planner.Pricing(), firstMicro(t, s, batch, res.M)); !ok {
-		t.Fatal("whole-batch reuse did not publish micro plans to the cache")
-	}
-}
-
-func firstMicro(t *testing.T, s *Solver, batch []int, m int) []int {
-	t.Helper()
-	micro, err := blastFor(s, batch, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return micro[0]
-}
-
-func TestCacheCoversAfterColdSolve(t *testing.T) {
-	s := newStreamSolver()
-	batch := streamBatch(3, 48)
-	if s.CacheCovers(batch) {
-		t.Fatal("empty cache claims to cover the batch")
-	}
-	if _, err := s.SolveContext(context.Background(), batch); err != nil {
-		t.Fatal(err)
-	}
-	if !s.CacheCovers(batch) {
-		t.Fatal("cache does not cover a batch it just solved")
-	}
-}
-
-func TestStreamSkipsCoveredSpeculation(t *testing.T) {
-	s := newStreamSolver()
-	batch := streamBatch(5, 48)
-	if _, err := s.SolveContext(context.Background(), batch); err != nil {
-		t.Fatal(err)
-	}
-	skipBefore := s.Metrics().Skipped
-
-	events := make(chan string, 16)
-	st := NewStream(s, StreamConfig{
-		Expect:     len(batch),
-		Watermarks: []float64{1.0},
-		Observe:    func(ev string) { events <- ev },
-	})
-	if _, err := st.Append(batch...); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case ev := <-events:
-		if ev != StreamEventSkip {
-			t.Fatalf("event %q, want %q", ev, StreamEventSkip)
+		for _, lens := range micro {
+			w, wok := cachedPlan(cold.Cache, lens)
+			g, gok := cachedPlan(got.Cache, lens)
+			if wok != gok {
+				t.Fatalf("m=%d micro-batch of %d: cached %v, cold solver cached %v", tr.M, len(lens), gok, wok)
+			}
+			if gj, wj := plansJSON(t, Result{Plans: []planner.MicroPlan{g}}), plansJSON(t, Result{Plans: []planner.MicroPlan{w}}); gj != wj {
+				t.Fatalf("m=%d cache entry differs from the cold solver's:\n%s\n%s", tr.M, gj, wj)
+			}
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("no stream event after append")
 	}
-	if got := s.Metrics().Skipped; got != skipBefore+1 {
-		t.Fatalf("skipped counter %d, want %d", got, skipBefore+1)
-	}
-	res, err := st.Close(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Stats().Skipped != 1 {
-		t.Fatalf("session skipped %d, want 1", st.Stats().Skipped)
-	}
-	if len(res.Plans) == 0 {
-		t.Fatal("close returned no plans")
+	if g, w := got.Cache.Len(), cold.Cache.Len(); g != w {
+		t.Fatalf("cache holds %d entries, cold solver's %d", g, w)
 	}
 }
 
 func TestStreamCloseReusesFinalSpeculation(t *testing.T) {
-	batch := streamBatch(13, 64)
+	for _, tc := range []struct {
+		name  string
+		batch []int
+	}{
+		{"commoncrawl-64K", streamBatch(13, 64)},
+		// At 192K this batch blasts two micro-batches of one solve into the
+		// same rounded signature, so a cold solve answers the second from
+		// the cache entry it wrote for the first.
+		{"commoncrawl-192K", workload.CommonCrawl().Batch(rand.New(rand.NewSource(11)), 64, 192<<10)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			batch := tc.batch
+			cold := newStreamSolver()
+			want, err := cold.SolveContext(context.Background(), batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			s := newStreamSolver()
+			st := NewStream(s, len(batch))
+			for _, l := range batch {
+				if _, err := st.Append(l); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The final append started the background solve of the whole
+			// batch; Close must await and reuse it rather than solving again.
+			got, err := st.Close(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats := st.Stats(); !stats.Reused || stats.Speculations != 1 || stats.Superseded != 0 {
+				t.Fatalf("close did not reuse the background solve: %+v", stats)
+			}
+			if n := s.Metrics().Solves; n != 1 {
+				t.Fatalf("solver ran %d solves, want the background one only", n)
+			}
+			if g, w := plansJSON(t, got), plansJSON(t, want); g != w {
+				t.Fatalf("streamed plans diverge from cold:\n%s\n%s", g, w)
+			}
+			requireCacheLikeCold(t, s, cold, batch, want)
+		})
+	}
+}
+
+// TestStreamOutgrownExpectLeavesNoPrefixPlans grows a session past its
+// expected count after the background solve of the prefix has finished: the
+// prefix's plans must never reach the cache, and the close solves the grown
+// batch like a cold solve.
+func TestStreamOutgrownExpectLeavesNoPrefixPlans(t *testing.T) {
+	batch := streamBatch(19, 64)
 	cold := newStreamSolver()
 	want, err := cold.SolveContext(context.Background(), batch)
 	if err != nil {
@@ -198,27 +148,37 @@ func TestStreamCloseReusesFinalSpeculation(t *testing.T) {
 	}
 
 	s := newStreamSolver()
-	st := NewStream(s, StreamConfig{Expect: len(batch)})
-	for _, l := range batch {
-		if _, err := st.Append(l); err != nil {
-			t.Fatal(err)
-		}
+	st := NewStream(s, 48)
+	if _, err := st.Append(batch[:48]...); err != nil {
+		t.Fatal(err)
 	}
-	// The Expect threshold fired a full-batch speculation with the final
-	// append; Close must await and reuse it rather than solving again.
+	st.mu.Lock()
+	bg := st.bg
+	st.mu.Unlock()
+	if bg == nil {
+		t.Fatal("reaching expect started no background solve")
+	}
+	<-bg.done
+	if bg.err != nil || len(bg.held.puts) == 0 {
+		t.Fatalf("prefix solve: err %v, %d held writes", bg.err, len(bg.held.puts))
+	}
+	if _, err := st.Append(batch[48:]...); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Cache.Len(); n != 0 {
+		t.Fatalf("the outgrown prefix solve left %d cache entries", n)
+	}
 	got, err := st.Close(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Stats().Reused {
-		t.Fatalf("close did not reuse the final speculation: %+v", st.Stats())
+	if stats := st.Stats(); stats.Superseded != 1 || stats.Reused || stats.Speculations != 1 {
+		t.Fatalf("stats %+v, want one superseded speculation and no reuse", stats)
 	}
 	if g, w := plansJSON(t, got), plansJSON(t, want); g != w {
-		t.Fatalf("streamed plans diverge from cold:\n%s\n%s", g, w)
+		t.Fatalf("outgrown stream diverges from cold:\n%s\n%s", g, w)
 	}
-	if !s.CacheCovers(batch) {
-		t.Fatal("reused close did not leave the cache covering the batch")
-	}
+	requireCacheLikeCold(t, s, cold, batch, want)
 }
 
 func TestStreamDisabledMatchesCold(t *testing.T) {
@@ -228,10 +188,14 @@ func TestStreamDisabledMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Without an expected count no background solve runs: Close solves.
 	s := newStreamSolver()
-	st := NewStream(s, StreamConfig{Expect: len(batch), Disabled: true})
+	st := NewStream(s, 0)
 	if _, err := st.Append(batch...); err != nil {
 		t.Fatal(err)
+	}
+	if n := s.Metrics().Solves; n != 0 {
+		t.Fatalf("%d solves before close, want 0", n)
 	}
 	got, err := st.Close(context.Background())
 	if err != nil {
@@ -239,16 +203,17 @@ func TestStreamDisabledMatchesCold(t *testing.T) {
 	}
 	stats := st.Stats()
 	if stats.Speculations != 0 || stats.Reused {
-		t.Fatalf("disabled stream speculated: %+v", stats)
+		t.Fatalf("stream without expect speculated: %+v", stats)
 	}
 	if g, w := plansJSON(t, got), plansJSON(t, want); g != w {
-		t.Fatalf("disabled stream diverges from cold:\n%s\n%s", g, w)
+		t.Fatalf("stream without expect diverges from cold:\n%s\n%s", g, w)
 	}
+	requireCacheLikeCold(t, s, cold, batch, want)
 }
 
 func TestStreamClosedErrors(t *testing.T) {
 	s := newStreamSolver()
-	st := NewStream(s, StreamConfig{Disabled: true})
+	st := NewStream(s, 0)
 	if _, err := st.Append(4096); err != nil {
 		t.Fatal(err)
 	}
@@ -265,48 +230,26 @@ func TestStreamClosedErrors(t *testing.T) {
 		t.Fatalf("second close: %v, want ErrStreamClosed", err)
 	}
 
-	st2 := NewStream(s, StreamConfig{Disabled: true})
+	st2 := NewStream(s, 1)
+	if _, err := st2.Append(4096); err != nil {
+		t.Fatal(err)
+	}
 	st2.Cancel()
 	st2.Cancel() // idempotent
 	if _, err := st2.Append(4096); err != ErrStreamClosed {
 		t.Fatalf("append after cancel: %v, want ErrStreamClosed", err)
 	}
-}
-
-func TestStreamGrowthTriggerWithoutExpect(t *testing.T) {
-	s := newStreamSolver()
-	batch := streamBatch(23, 64)
-	var mu sync.Mutex
-	specs := 0
-	st := NewStream(s, StreamConfig{Observe: func(ev string) {
-		if ev == StreamEventSpeculate || ev == StreamEventSkip {
-			mu.Lock()
-			specs++
-			mu.Unlock()
-		}
-	}})
-	for _, l := range batch {
-		if _, err := st.Append(l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := st.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	// 8 (DefaultMinSpeculate), then +50% growth: 12, 18, 27, 41, 62.
-	if specs < 3 {
-		t.Fatalf("growth trigger speculated %d times, want >= 3", specs)
+	if _, err := st2.Close(context.Background()); err != ErrStreamClosed {
+		t.Fatalf("close after cancel: %v, want ErrStreamClosed", err)
 	}
 }
 
-// TestStreamConcurrentAppend exercises concurrent appends to one session and
-// a close racing watermark-triggered speculation (run with -race).
+// TestStreamConcurrentAppend exercises concurrent appends to one session,
+// the last of which starts the background solve (run with -race).
 func TestStreamConcurrentAppend(t *testing.T) {
 	s := newStreamSolver()
 	batch := streamBatch(29, 64)
-	st := NewStream(s, StreamConfig{Expect: len(batch)})
+	st := NewStream(s, len(batch))
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		w := w
@@ -329,8 +272,8 @@ func TestStreamConcurrentAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Plans) == 0 {
-		t.Fatal("close returned no plans")
+	if stats := st.Stats(); !stats.Reused || stats.Speculations != 1 {
+		t.Fatalf("close did not reuse the background solve: %+v", stats)
 	}
 	// Whatever interleaving happened, the plan content must match cold.
 	cold := newStreamSolver()
@@ -343,34 +286,25 @@ func TestStreamConcurrentAppend(t *testing.T) {
 	}
 }
 
-// TestStreamCloseRacesSpeculation closes immediately after the append that
-// launches speculation, repeatedly, so Close exercises both the await-reuse
-// and the cancel-supersede paths under -race.
+// TestStreamCloseRacesSpeculation closes right after the append that
+// starts the background solve, repeatedly, so Close exercises both the
+// await-reuse path and, after one more append, the supersede path under
+// -race.
 func TestStreamCloseRacesSpeculation(t *testing.T) {
 	s := newStreamSolver()
 	batch := streamBatch(31, 32)
+	half := len(batch) / 2
 	for i := 0; i < 8; i++ {
-		st := NewStream(s, StreamConfig{Expect: len(batch), Watermarks: []float64{0.5}})
-		half := len(batch) / 2
+		st := NewStream(s, half)
 		if _, err := st.Append(batch[:half]...); err != nil {
 			t.Fatal(err)
 		}
-		if i%2 == 0 {
-			// Half the runs close on the partial batch the in-flight
-			// speculation is solving (await-reuse path)...
-			res, err := st.Close(context.Background())
-			if err != nil {
+		reuse := i%2 == 0
+		if !reuse {
+			// The batch outgrows the in-flight solve, which is canceled.
+			if _, err := st.Append(batch[half:]...); err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Plans) == 0 {
-				t.Fatal("close returned no plans")
-			}
-			continue
-		}
-		// ...and half append more first, so the speculation is superseded
-		// or mismatched at close.
-		if _, err := st.Append(batch[half:]...); err != nil {
-			t.Fatal(err)
 		}
 		res, err := st.Close(context.Background())
 		if err != nil {
@@ -378,6 +312,9 @@ func TestStreamCloseRacesSpeculation(t *testing.T) {
 		}
 		if len(res.Plans) == 0 {
 			t.Fatal("close returned no plans")
+		}
+		if stats := st.Stats(); stats.Reused != reuse || stats.Superseded != int64(i%2) {
+			t.Fatalf("run %d: stats %+v", i, stats)
 		}
 	}
 }

@@ -8,45 +8,26 @@ import (
 )
 
 // StreamOptions configures System.PlanStream, the in-process streaming
-// planner. Zero values take the solver defaults.
+// planner.
 type StreamOptions struct {
 	// Expect is the total number of sequences the stream will see, when
-	// known up front (e.g. a fixed global batch size). With a hint the
-	// speculative solver fires at each Watermarks fraction of Expect and
-	// launches a full-batch solve on the final append, so Close usually
-	// returns a finished plan immediately. Zero means unknown: speculation
-	// falls back to a growth trigger.
+	// known up front (e.g. a fixed global batch size). The append that
+	// reaches it starts a background solve of the batch, so a Close that
+	// comes later finds the plan done or under way. Zero means unknown:
+	// Close solves.
 	Expect int
-	// Watermarks are the batch-completion fractions in (0, 1] at which
-	// speculative solves launch when Expect is set (default 25/50/75/90%).
-	Watermarks []float64
-	// NoSpeculate disables background solving entirely: Close runs one cold
-	// solve over the accumulated batch, byte-identical to System.Plan on the
-	// same lengths.
-	NoSpeculate bool
 }
 
 // PlanStream opens an in-process streaming planning session: sequence
-// lengths arrive incrementally via Append while the solver speculatively
-// plans partial batches in the background, and Close warm-starts the final
-// solve from the best incumbent so the time from last-arrival to plan is
-// near zero. This is the library-level counterpart of the daemon's
-// POST /v2/stream routes (see Client.Stream).
+// lengths arrive incrementally via Append, the batch is solved in the
+// background once Expect sequences have arrived, and Close returns the plan.
+// This is the library-level counterpart of the daemon's POST /v2/stream
+// routes (see Client.Stream).
 func (s *System) PlanStream(opts StreamOptions) (*StreamPlanner, error) {
 	if opts.Expect < 0 {
 		return nil, fmt.Errorf("flexsp: negative Expect %d", opts.Expect)
 	}
-	for _, w := range opts.Watermarks {
-		if w <= 0 || w > 1 {
-			return nil, fmt.Errorf("flexsp: watermark %v outside (0, 1]", w)
-		}
-	}
-	st := solver.NewStream(s.Solver, solver.StreamConfig{
-		Expect:     opts.Expect,
-		Watermarks: opts.Watermarks,
-		Disabled:   opts.NoSpeculate,
-	})
-	return &StreamPlanner{sys: s, st: st}, nil
+	return &StreamPlanner{sys: s, st: solver.NewStream(s.Solver, opts.Expect)}, nil
 }
 
 // StreamPlanner is an open streaming session from System.PlanStream. Append
@@ -57,15 +38,15 @@ type StreamPlanner struct {
 }
 
 // Append adds sequence lengths to the accumulating batch and returns the
-// total accumulated so far. Crossing a speculation trigger launches a
-// background solve; Append itself never blocks on solving.
+// total accumulated so far. Reaching Expect starts the background solve;
+// Append itself never blocks on solving.
 func (p *StreamPlanner) Append(lens ...int) (int, error) {
 	return p.st.Append(lens...)
 }
 
-// Close seals the batch and returns the plan, reusing or warm-starting from
-// the speculative incumbent when one matches. The plan is byte-identical to
-// System.Plan over the same lengths.
+// Close seals the batch and returns the plan: the background solve's when it
+// covered exactly this batch, else one solved now. The plan is
+// byte-identical to System.Plan over the same lengths.
 func (p *StreamPlanner) Close(ctx context.Context) (Plan, error) {
 	res, err := p.st.Close(ctx)
 	if err != nil {
@@ -74,11 +55,11 @@ func (p *StreamPlanner) Close(ctx context.Context) (Plan, error) {
 	return &flatPlan{sys: p.sys, name: StrategyFlexSP, res: res}, nil
 }
 
-// Cancel abandons the session, stopping any in-flight speculative solve.
+// Cancel abandons the session, stopping the background solve if one runs.
 // Safe to call after Close or repeatedly.
 func (p *StreamPlanner) Cancel() { p.st.Cancel() }
 
-// Stats reports the session's speculation activity so far.
+// Stats reports the session's activity so far.
 func (p *StreamPlanner) Stats() solver.StreamStats { return p.st.Stats() }
 
 // Len is the number of sequences appended so far.
