@@ -2,6 +2,7 @@ package planner
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"flexsp/internal/bucket"
@@ -54,9 +55,10 @@ func itemsFromBuckets(buckets []bucket.Bucket) []item {
 // degree when every range prices alike (or the group is unplaced), per
 // aligned slot on a mixed fleet.
 type groupMemo struct {
-	pr       costmodel.Pricing
-	uniform  bool
-	byDegree map[int]*groupPrice
+	pr      costmodel.Pricing
+	uniform bool
+	// byLevel holds the degree-2^l price at entry l.
+	byLevel []*groupPrice
 	// bySlot numbers a mixed fleet's aligned power-of-two slots like a
 	// binary heap over span, the smallest power of two covering the fleet:
 	// the size-d slot at start s is entry span/d + s/d.
@@ -71,10 +73,12 @@ type groupPrice struct {
 	// (costmodel.Coeffs.Pieces, at most two); the second is zero when the
 	// group has one.
 	pieces [2][3]float64
+	// ratio and invB are the first piece's A/B and 1/B, for water levels.
+	ratio, invB float64
 }
 
 func newGroupMemo(pr costmodel.Pricing) *groupMemo {
-	gm := &groupMemo{pr: pr, uniform: pr.Uniform(), byDegree: make(map[int]*groupPrice)}
+	gm := &groupMemo{pr: pr, uniform: pr.Uniform(), byLevel: make([]*groupPrice, bits.Len(uint(pr.Fleet.Topo.NumDevices())))}
 	if !gm.uniform {
 		gm.span = 1
 		for gm.span < pr.Fleet.Topo.NumDevices() {
@@ -89,12 +93,11 @@ func newGroupMemo(pr costmodel.Pricing) *groupMemo {
 // a mixed fleet a placed group's range is an aligned slot of size d).
 func (gm *groupMemo) get(d int, r cluster.DeviceRange) *groupPrice {
 	if gm.uniform || r.Size == 0 {
-		gp := gm.byDegree[d]
-		if gp == nil {
-			gp = gm.price(d, r)
-			gm.byDegree[d] = gp
+		l := bits.TrailingZeros(uint(d))
+		if gm.byLevel[l] == nil {
+			gm.byLevel[l] = gm.price(d, r)
 		}
-		return gp
+		return gm.byLevel[l]
 	}
 	i := gm.span/d + r.Start/d
 	if gm.bySlot[i] == nil {
@@ -103,12 +106,45 @@ func (gm *groupMemo) get(d int, r cluster.DeviceRange) *groupPrice {
 	return gm.bySlot[i]
 }
 
+// floorPrice is a lower price of a degree's groups: the coefficients of a
+// first piece, A·Σs² + B·Σs + C, its A/B and 1/B, and a token capacity.
+type floorPrice struct {
+	piece       [3]float64
+	ratio, invB float64
+	capTokens   int64
+}
+
+// floor prices a degree-d group at or below every range it can land on: the
+// degree's one price when every range prices alike, otherwise the least
+// coefficients of the first piece and the largest token capacity over the
+// degree's aligned slots. A bound computed from it holds for every
+// placement. It reads the memo's slot prices, which the scan's placements
+// then reuse, rather than LowerBound's table, which prices every range again
+// and leaves β2 out.
+func (gm *groupMemo) floor(d int) floorPrice {
+	if gm.uniform {
+		gp := gm.get(d, cluster.DeviceRange{})
+		return floorPrice{piece: gp.pieces[0], ratio: gp.ratio, invB: gp.invB, capTokens: gp.capTokens}
+	}
+	f := floorPrice{piece: [3]float64{math.Inf(1), math.Inf(1), math.Inf(1)}}
+	for start := 0; start+d <= gm.pr.Fleet.Topo.NumDevices(); start += d {
+		gp := gm.get(d, cluster.DeviceRange{Start: start, Size: d})
+		for i, v := range gp.pieces[0] {
+			f.piece[i] = min(f.piece[i], v)
+		}
+		f.capTokens = max(f.capTokens, gp.capTokens)
+	}
+	f.ratio, f.invB = f.piece[0]/f.piece[1], 1/f.piece[1]
+	return f
+}
+
 func (gm *groupMemo) price(d int, r cluster.DeviceRange) *groupPrice {
 	c := gm.pr.Group(r)
 	gp := &groupPrice{c: c, capTokens: int64(c.MaxTokensPerGroup(d))}
 	for i, p := range c.Pieces(d) {
 		gp.pieces[i] = [3]float64{p.Alpha1 / p.D, p.Alpha2/p.D + p.Comm, p.Beta1 + p.Beta2}
 	}
+	gp.ratio, gp.invB = gp.pieces[0][0]/gp.pieces[0][1], 1/gp.pieces[0][1]
 	return gp
 }
 
@@ -137,6 +173,12 @@ type assignment struct {
 	// evaluated only for a group the first ranks ahead of the best so far.
 	pA, pB, pC, qA, qB, qC []float64
 	partial, qPartial      []float64
+
+	// The water level reads the first pieces: cMin is the least pC, rMin
+	// the least pA/pB, invB[g] is 1/pB[g] and sumInvB their sum. work is
+	// Σ (partial − cMin)·invB over the groups that hold items.
+	invB                      []float64
+	cMin, rMin, sumInvB, work float64
 
 	members [][]item
 	sumS    []float64
@@ -168,6 +210,7 @@ func (a *assignment) grow(k int) {
 	a.pA, a.pB, a.pC = resize(a.pA, k), resize(a.pB, k), resize(a.pC, k)
 	a.qA, a.qB, a.qC = resize(a.qA, k), resize(a.qB, k), resize(a.qC, k)
 	a.partial, a.qPartial = resize(a.partial, k), resize(a.qPartial, k)
+	a.invB = resize(a.invB, k)
 	a.sumS, a.sumS2 = resize(a.sumS, k), resize(a.sumS2, k)
 	a.tokens, a.times = resize(a.tokens, k), resize(a.times, k)
 	if cap(a.members) < k {
@@ -182,6 +225,7 @@ func (a *assignment) grow(k int) {
 		a.times[g] = 0
 	}
 	a.ranges = a.ranges[:0]
+	a.cMin, a.rMin, a.sumInvB, a.work = math.Inf(1), math.Inf(1), 0, 0
 }
 
 // newAssignment builds the assignment of unplaced groups of the given
@@ -210,7 +254,33 @@ func (a *assignment) reconfigure(memo *groupMemo, degrees []int, ranges []cluste
 		p, q := &gp.pieces[0], &gp.pieces[1]
 		a.pA[g], a.pB[g], a.pC[g], a.partial[g] = p[0], p[1], p[2], p[2]
 		a.qA[g], a.qB[g], a.qC[g], a.qPartial[g] = q[0], q[1], q[2], q[2]
+		a.invB[g] = gp.invB
+		a.cMin, a.rMin, a.sumInvB = min(a.cMin, p[2]), min(a.rMin, gp.ratio), a.sumInvB+gp.invB
 	}
+}
+
+// tail holds suffix sums over a longest-first item list: s[i] and s2[i] sum
+// the representative lengths of items[i:] and their squares (s[len] = 0).
+type tail struct{ s, s2 []float64 }
+
+func newTail(items []item) tail {
+	t := tail{s: make([]float64, len(items)+1), s2: make([]float64, len(items)+1)}
+	for i := len(items) - 1; i >= 0; i-- {
+		r := float64(items[i].rep)
+		t.s[i], t.s2[i] = t.s[i+1]+r, t.s2[i+1]+r*r
+	}
+	return t
+}
+
+// water bounds from below the span of the placement in progress once every
+// item is placed, with items[i:] still to place (rest is the items' tail):
+// each group g that ends up holding items has (span − cMin)/pB[g] ≥
+// (partial − cMin)/pB[g] of its placed items plus rMin·Σs² + Σs of those it
+// will still get, so span ≥ cMin + (work + rest.s[i] + rMin·rest.s2[i]) /
+// sumInvB. It never falls as items are placed: an item adds at least the
+// bound work it takes out of the rest.
+func (a *assignment) water(rest *tail, i int) float64 {
+	return a.cMin + (a.work+rest.s[i]+a.rMin*rest.s2[i])/a.sumInvB
 }
 
 // groupTime is the Eq. 14 estimate for group g's current members.
@@ -284,21 +354,27 @@ func (a *assignment) makespan() float64 {
 // the group with the smallest resulting finish time among groups with
 // memory headroom. Returns false if some item fits nowhere.
 func (a *assignment) place(items []item) bool {
-	ok, _ := a.placeBounded(items, math.Inf(1))
+	ok, _ := a.placeBounded(items, nil, math.Inf(1))
 	return ok
 }
 
 // placeBounded is place with an abort threshold: group times only grow as
 // items are placed, so once the running makespan strictly exceeds `abort`
 // the final makespan is guaranteed to as well, and the scan of this
-// candidate configuration can stop early. Returns (placed, makespan);
-// placed is false on infeasibility or abort.
-func (a *assignment) placeBounded(items []item, abort float64) (bool, float64) {
+// candidate configuration can stop early. Given the items' tail, it also
+// stops once the water level, read before each item, exceeds `abort` by
+// more than boundSlack. Returns (placed, makespan); placed is false on
+// infeasibility or abort.
+func (a *assignment) placeBounded(items []item, rest *tail, abort float64) (bool, float64) {
 	span := 0.0
 	k := len(a.degrees)
 	tokens, capTokens := a.tokens, a.capTokens
 	partial, pA, pB := a.partial, a.pA, a.pB
-	for _, it := range items {
+	limit := abort * (1 + boundSlack)
+	for i, it := range items {
+		if rest != nil && a.water(rest, i) > limit {
+			return false, span
+		}
 		best, bestT := -1, 0.0
 		rep := int64(it.rep)
 		s := float64(it.rep)
@@ -321,7 +397,12 @@ func (a *assignment) placeBounded(items []item, abort float64) (bool, float64) {
 		if best == -1 {
 			return false, 0
 		}
+		prev := partial[best]
+		if tokens[best] == 0 {
+			prev = a.cMin
+		}
 		a.add(best, it)
+		a.work += (partial[best] - prev) * a.invB[best]
 		if bestT > span {
 			span = bestT
 			if span > abort {

@@ -130,8 +130,10 @@ func (p MicroPlan) Placement(n int) ([]Group, []cluster.DeviceRange, error) {
 // Validate checks the plan against the micro-batch it was built for and the
 // pricing of its fleet: every sequence placed exactly once, power-of-two
 // degrees within the device budget (see Placement; placed plans must place
-// every group on a valid range), and every group within the memory of the
-// devices it occupies. A mixed fleet, whose ranges price differently,
+// every group on a valid range) and within the fleet's SP degree cap (the
+// Ulysses head count, when applied), every group within the memory of the
+// devices it occupies, and a Time equal to the slowest group's time under
+// the pricing of its range. A mixed fleet, whose ranges price differently,
 // accepts only placed plans.
 func (p MicroPlan) Validate(pr costmodel.Pricing, lens []int) error {
 	groups, _, err := p.Placement(pr.Fleet.Topo.NumDevices())
@@ -142,13 +144,20 @@ func (p MicroPlan) Validate(pr costmodel.Pricing, lens []int) error {
 	for _, l := range lens {
 		want[l]++
 	}
+	maxDeg := pr.Fleet.MaxDegree()
+	slowest := 0.0
 	for _, g := range groups {
 		if !g.Placed() && !pr.Uniform() {
 			return fmt.Errorf("planner: group %v has no device range", g)
 		}
-		if !pr.Group(g.Range).Fits(g.Lens, g.Degree) {
+		if g.Degree > maxDeg {
+			return fmt.Errorf("planner: group %v exceeds the SP degree cap %d", g, maxDeg)
+		}
+		c := pr.Group(g.Range)
+		if !c.Fits(g.Lens, g.Degree) {
 			return fmt.Errorf("planner: group %v on %v exceeds device memory", g, g.Range)
 		}
+		slowest = max(slowest, g.Time(c))
 		for _, l := range g.Lens {
 			want[l]--
 			if want[l] < 0 {
@@ -160,6 +169,9 @@ func (p MicroPlan) Validate(pr costmodel.Pricing, lens []int) error {
 		if n != 0 {
 			return fmt.Errorf("planner: %d sequences of length %d unassigned", n, l)
 		}
+	}
+	if p.Time != slowest {
+		return fmt.Errorf("planner: plan time %v is not its slowest group's %v", p.Time, slowest)
 	}
 	return nil
 }

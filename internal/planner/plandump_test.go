@@ -56,20 +56,40 @@ func planDigest(t *testing.T, p MicroPlan, err error) string {
 	return fmt.Sprintf("%x@%v", sum[:8], p.Time)
 }
 
-// TestPlanDumpGolden pins the enum and greedy plans and the LowerBound of
-// every Alg. 1 window micro-batch of one CommonCrawl, GitHub and Wikipedia
-// batch (built as TestLowerBoundBelowEnumAndGreedy builds them) on each
-// planDumpFleets planner: one line per micro-batch with the plans' digests
-// and makespans and the bound's float bits. A change that should leave
-// plans alone must pass unchanged; one that changes them on purpose
-// regenerates testdata/plan_dump.golden (-update-plan-golden), and the diff
-// names every micro-batch whose plan moved.
-func TestPlanDumpGolden(t *testing.T) {
+// planDumpBatches are the plan dump's batches: one CommonCrawl, GitHub and
+// Wikipedia batch of 128 sequences at 192K.
+func planDumpBatches() ([]workload.Dataset, [][]int) {
 	corpora := []workload.Dataset{workload.CommonCrawl(), workload.GitHub(), workload.Wikipedia()}
 	var batches [][]int
 	for i, d := range corpora {
 		batches = append(batches, d.Batch(rand.New(rand.NewSource(int64(40+i))), 128, 192<<10))
 	}
+	return corpora, batches
+}
+
+// validPlan fails the test when a plan the planner returned does not pass
+// MicroPlan.Validate against the planner's pricing.
+func validPlan(t *testing.T, pl *Planner, lens []int, p MicroPlan, err error) {
+	t.Helper()
+	if err != nil {
+		return
+	}
+	if err := p.Validate(pl.Pricing(), lens); err != nil {
+		t.Errorf("%s plan of %d sequences: %v", pl.Strategy, len(lens), err)
+	}
+}
+
+// TestPlanDumpGolden pins the enum and greedy plans and the LowerBound of
+// every Alg. 1 window micro-batch of the planDumpBatches (built as
+// TestLowerBoundBelowEnumAndGreedy builds them) on each planDumpFleets
+// planner: one line per micro-batch with the plans' digests and makespans
+// and the bound's float bits. Every plan must also pass MicroPlan.Validate.
+// A change that should leave plans alone must pass unchanged; one that
+// changes them on purpose regenerates testdata/plan_dump.golden
+// (-update-plan-golden), and the diff names every micro-batch whose plan
+// moved.
+func TestPlanDumpGolden(t *testing.T) {
+	corpora, batches := planDumpBatches()
 	var got bytes.Buffer
 	for _, fl := range planDumpFleets(t) {
 		lb := fl.pl.LowerBound()
@@ -79,6 +99,8 @@ func TestPlanDumpGolden(t *testing.T) {
 			for j, lens := range windowMicroBatches(fl.pl, batch) {
 				enum, enumErr := fl.pl.Plan(lens)
 				gp, greedyErr := greedy.Plan(lens)
+				validPlan(t, fl.pl, lens, enum, enumErr)
+				validPlan(t, &greedy, lens, gp, greedyErr)
 				fmt.Fprintf(&got, "%s %s/%d enum=%s greedy=%s bound=%016x\n", fl.name, corpora[i].Name, j,
 					planDigest(t, enum, enumErr), planDigest(t, gp, greedyErr), math.Float64bits(lb.Of(lens)))
 			}

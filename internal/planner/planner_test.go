@@ -247,7 +247,7 @@ func TestSearchConfigsLargeN(t *testing.T) {
 
 // Beyond enumLimit the configuration search must not depend on map
 // iteration order: its configurations, and so the plans that break span
-// ties by scan order, repeat exactly from call to call.
+// ties by enumeration index, repeat exactly from call to call.
 func TestSearchConfigsDeterministic(t *testing.T) {
 	want := searchConfigs(128, 4, 128)
 	for i := 0; i < 20; i++ {
@@ -323,8 +323,17 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 	c := coeffs(64)
 	lens := []int{1000, 2000}
 	good := MicroPlan{Groups: []Group{{Degree: 8, Lens: []int{1000, 2000}}}}
+	good.recomputeTime(c.Pricing())
 	if err := good.Validate(c.Pricing(), lens); err != nil {
 		t.Fatal(err)
+	}
+	if good.Validate(c.WithSPDegreeCap(4).Pricing(), lens) == nil {
+		t.Error("group above the SP degree cap accepted")
+	}
+	stale := good
+	stale.Time *= 1.5
+	if stale.Validate(c.Pricing(), lens) == nil {
+		t.Error("plan time other than its slowest group's accepted")
 	}
 	over := MicroPlan{Groups: []Group{
 		{Degree: 64, Lens: []int{1000}},

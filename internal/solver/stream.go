@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"flexsp/internal/obs"
 	"flexsp/internal/planner"
 )
 
@@ -132,13 +131,7 @@ func (st *Stream) start(batch []int) *background {
 	go func() {
 		defer close(bg.done)
 		defer cancel()
-		_, span := obs.Start(ctx, "solver.speculate")
-		span.SetAttr("seqs", len(batch))
 		bg.res, bg.err = st.s.solve(ctx, batch, &bg.held)
-		if bg.err != nil {
-			span.SetError(bg.err)
-		}
-		span.End()
 	}()
 	return bg
 }
